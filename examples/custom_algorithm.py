@@ -25,6 +25,8 @@ class TopKSGD(Algorithm):
     """
 
     name = "topk-sgd"
+    # One optimizer step after every bucket communicated (on_step_end).
+    update_mode = "barrier"
 
     def __init__(self, ratio: float = 0.05) -> None:
         self.compressor = TopKCompressor(ratio=ratio)
@@ -38,18 +40,18 @@ class TopKSGD(Algorithm):
                 ErrorFeedback(self.compressor) for _ in worker.buckets
             ]
 
-    def on_backward_done(self, engine: BaguaEngine, step: int) -> None:
-        n = engine.world_size
-        for k in range(engine.num_buckets):
-            summed = c_lp_s(
-                engine.grads_of_bucket(k),
-                engine.group,
-                compressor=self.compressor,
-                worker_errors=[w.state["worker_ef"][k] for w in engine.workers],
-                server_errors=[w.state["server_ef"][k] for w in engine.workers],
-                hierarchical=engine.hierarchical,
-            )
-            engine.set_grads_of_bucket(k, [s / n for s in summed])
+    def comm_bucket(self, engine: BaguaEngine, k: int, step: int) -> None:
+        summed = c_lp_s(
+            engine.grads_of_bucket(k),
+            engine.group,
+            compressor=self.compressor,
+            worker_errors=[w.state["worker_ef"][k] for w in engine.workers],
+            server_errors=[w.state["server_ef"][k] for w in engine.workers],
+            hierarchical=engine.hierarchical,
+        )
+        engine.set_grads_of_bucket(k, [s / engine.world_size for s in summed])
+
+    def on_step_end(self, engine: BaguaEngine, step: int) -> None:
         for worker in engine.workers:
             worker.optimizer_step_on_buckets()
 

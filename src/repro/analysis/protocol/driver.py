@@ -5,10 +5,9 @@ end and aggregates them into a :class:`ProtocolReport`:
 
 1. **exhaustive exploration** — the clean protocol model at several world
    sizes (default 1/2/4), every interleaving, under DPOR + state dedup,
-   over *both* wire protocols (legacy per-round pipe doorbells and the
-   PR 9 batched flag-word steady state), plus pool-ref reduce workloads
-   (PR 10: every pool mapped everywhere, one in-place reduce per rank) at
-   each multi-rank world; any finding or truncation fails the gate;
+   plus pool-ref reduce workloads (every pool mapped everywhere, one
+   in-place reduce per rank) at each multi-rank world; any finding or
+   truncation fails the gate;
 2. **mutation testing** — the seeded-bug suite of :mod:`.mutations`; every
    bug must be caught with exactly its root-cause rule;
 3. **live conformance** (optional, default on) — a real
@@ -143,13 +142,8 @@ def analyze_protocol(
     for world in worlds:
         report.explorations.append(explorer.explore(Workload(world=world)))
     for world in worlds:
-        report.explorations.append(explorer.explore(Workload(world=world, batched=True)))
-    for world in worlds:
         if world > 1:  # a 1-member collective never takes the pool-ref path
             report.explorations.append(explorer.explore(Workload(world=world, reduce=True)))
-            report.explorations.append(
-                explorer.explore(Workload(world=world, batched=True, reduce=True))
-            )
     if mutations:
         report.mutation_report = run_mutations(explorer=explorer)
     if live:

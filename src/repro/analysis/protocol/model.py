@@ -1,34 +1,34 @@
 """Executable state-machine model of the shared-memory backend protocol.
 
 :class:`~repro.cluster.backends.shm.SharedMemoryBackend` implements a
-hand-rolled multiprocess protocol: seq-stamped ring records, doorbell/ack
-pipes, a barrier per round, a per-round ring budget with inline fallback,
-pool-segment mapping, and multi-stage teardown.  This module models that
-protocol as a small transition system the interleaving explorer
-(:mod:`.explorer`) can check exhaustively:
+hand-rolled multiprocess protocol: seq-stamped ring records, flag-word
+doorbells and acks, a per-batch ring budget with inline fallback,
+pool-segment mapping over control pipes, and multi-stage teardown.  This
+module models that protocol as a small transition system the interleaving
+explorer (:mod:`.explorer`) can check exhaustively:
 
 * **roles** — one *parent* process and one *worker* per rank;
-* **channels** — per worker, a doorbell FIFO (parent→worker), an ack FIFO
-  (worker→parent), and two ring buffers (``in``/``out``) modelled at the
-  granularity the safety argument needs: byte offsets, 8-byte alignment,
-  wraparound, per-round budgets, and a seq + destination stamp per record;
+* **channels** — per worker, a doorbell flag word and an ack flag word, a
+  control doorbell FIFO and ack FIFO (the ``pool``/``close`` pipes), and
+  two ring buffers (``in``/``out``) modelled at the granularity the safety
+  argument needs: byte offsets, 8-byte alignment, wraparound, per-batch
+  budgets, and a seq + destination stamp per record;
 * **guarded transitions** — the parent executes a straight-line *program*
-  (round posting, ack barriers, pool mapping, graceful teardown) while each
-  worker runs the reactive doorbell loop (`recv → read → echo → ack`).
+  (staging, flag doorbells, ack-flag barriers, pool mapping, graceful
+  teardown) while each worker runs the reactive doorbell loop
+  (`recv → read → echo → ack`).
 
-The model covers both wire protocols the backend speaks.  The legacy
-per-round mode posts one pipe doorbell per round and barriers each ack.
-The **batched** mode (``Workload(batched=True)``) mirrors the PR 9 steady
-state: the parent *stages* a whole iteration's rounds as one program of
-ring records sharing a batch seq, rings a single seq-stamped *flag word*
-(a one-slot overwrite register, not a FIFO), and the worker executes the
-entire program before setting its own ack flag word; pipes stay reserved
-for control (``pool``/``close``).  A flag word whose seq was never bumped
-cannot wake the worker — the model classifies that quiescent state as a
-lost wakeup — and an ack raised before the staged program finished
-executing violates :data:`RULE_PROGRAM`.
+The parent *stages* rounds and tasks as one program of ring records sharing
+a batch seq, rings a single seq-stamped *flag word* (a one-slot overwrite
+register, not a FIFO), and the worker executes the entire program before
+setting its own ack flag word; pipes stay reserved for control
+(``pool``/``close``).  The worker checks its flag word before its pipe, as
+the real wait loop does.  A flag word whose seq was never bumped cannot
+wake the worker — the model classifies that quiescent state as a lost
+wakeup — and an ack raised before the staged program finished executing
+violates :data:`RULE_PROGRAM`.
 
-The pool-ref collectives (PR 10) add a third item kind, ``reduce``: the
+The pool-ref collectives add a third item kind, ``reduce``: the
 parent ships a tiny descriptor and the worker folds its chunk *in place*
 across every rank's mapped pool segment, then broadcasts by writing the
 peers' segments directly.  Two invariants guard the fast path
@@ -121,37 +121,40 @@ class Faults:
     reports exactly the matching root-cause finding.
     """
 
-    #: (rank, seq) pairs whose worker ack is silently dropped.
+    #: (rank, seq) pairs whose worker ack (batch ack flag or pool/close
+    #: pipe ack) is silently dropped.
     drop_ack: tuple[tuple[int, int], ...] = ()
-    #: (rank, round) pairs whose doorbell reuses the previous seq number.
+    #: (rank, batch) pairs whose staged ring records are stamped with the
+    #: previous seq while the flag word carries the right one.
     stale_seq: tuple[tuple[int, int], ...] = ()
     #: ranks whose segments the parent unlinks *before* join (early unlink).
     early_unlink: tuple[int, ...] = ()
-    #: round indices whose ack barrier the parent skips entirely.
+    #: batch indices whose ack-flag barrier the parent skips entirely.
     skip_barrier: tuple[int, ...] = ()
-    #: force ring placement even when the per-round budget refuses (the
+    #: force ring placement even when the per-batch budget refuses (the
     #: inline-overflow fallback is "forgotten").
     force_place: bool = False
     #: ranks that receive a second close doorbell (double close).
     double_close: tuple[int, ...] = ()
-    #: (rank, round) pairs whose records are stamped for the wrong rank.
+    #: (rank, batch) pairs whose staged records are stamped for the wrong rank.
     wrong_dst: tuple[tuple[int, int], ...] = ()
     #: ranks the parent abandons: no close, no join, no unlink (orphan).
     orphan: tuple[int, ...] = ()
     #: ranks whose segments are never unlinked (leak).
     skip_unlink: tuple[int, ...] = ()
-    #: rounds posted without awaiting the previous round's barrier first
-    #: (pipelined rounds; drives write-before-read-complete ring overlap).
+    #: round batches staged before the previous batch's ack flag was
+    #: observed (pipelined batches; drives write-before-read-complete ring
+    #: overlap).
     pipeline_rounds: bool = False
-    #: ranks that get one extra round doorbell posted *after* their close
+    #: ranks that get one extra round staged and flagged *after* their close
     #: doorbell (use-after-close: the wakeup is lost behind the shutdown).
     post_after_close: tuple[int, ...] = ()
     #: ranks whose workers ack a batch flag word before executing the staged
-    #: program (ack-before-program-end; batched mode only).
+    #: program (ack-before-program-end).
     ack_early: tuple[int, ...] = ()
     #: (rank, batch) pairs whose doorbell flag word reuses the previous batch
     #: seq — the flag is "rung" but its value never changes, so the spinning
-    #: worker cannot observe the new batch (batched mode only).
+    #: worker cannot observe the new batch.
     stale_flag: tuple[tuple[int, int], ...] = ()
     #: (dst, owner) pairs whose pool-mapping doorbell the parent skips: dst's
     #: worker never maps owner's pool segment, so any reduce descriptor that
@@ -159,7 +162,7 @@ class Faults:
     poolref_unmapped: tuple[tuple[int, int], ...] = ()
     #: ranks whose workers ack a reduce-carrying batch before completing the
     #: in-place peer-segment writes (reduce result published before the
-    #: broadcast-by-write phase ran; batched mode only).
+    #: broadcast-by-write phase ran).
     skip_reduce_write: tuple[int, ...] = ()
 
 
@@ -228,7 +231,7 @@ class _Ring:
             raise Violation(
                 _finding(
                     RULE_BUDGET,
-                    f"record of {total} bytes exceeds the ring's per-round budget "
+                    f"record of {total} bytes exceeds the ring's per-batch budget "
                     f"({self.capacity} bytes) but was placed in the ring instead of "
                     "falling back to the inline pipe",
                     rank=writer_rank,
@@ -316,8 +319,8 @@ class _Worker:
     #: pool segment ids this worker has attached (cross-rank: every owner's
     #: pool maps into every worker, the reduce executors' address space).
     pool_segs: tuple[int, ...] = ()
-    #: batch items actually executed before the ack flag was set (batched
-    #: mode; the faithful worker always executes the whole staged program).
+    #: batch items actually executed before the ack flag was set (the
+    #: faithful worker always executes the whole staged program).
     executed: int = 0
     #: reduce items whose in-place peer-segment writes completed before the
     #: ack flag was set (the faithful worker completes all of them).
@@ -359,14 +362,12 @@ class _Segment:
 
 
 # Parent program instructions (straight-line; guards block, never branch):
-#   ("post", dst, op, sizes, round_index[, needs])   op in {"round", "task",
-#       "reduce"}; ``needs`` (reduce only) lists the pool-owner ranks the
-#       staged descriptors dereference
-#   ("await", dst)
-#   ("stage", dst, kind, sizes, batch_index[, needs])  kind in {"round",
-#       "task", "reduce"}
+#   ("stage", dst, kind, sizes, batch_index, needs)  kind in {"round",
+#       "task", "reduce"}; ``needs`` (reduce only) lists the pool-owner
+#       ranks the staged descriptors dereference
 #   ("flag", dst, batch_index)
 #   ("flagwait", dst)
+#   ("await", dst)         barrier on a pool pipe ack
 #   ("pool", dst, owner)   map owner's pool segment into dst's worker
 #   ("close", rank)
 #   ("join", rank)
@@ -385,7 +386,8 @@ class ModelState:
     pc: int = 0
     parent_done: bool = False
     next_seq: dict[int, int] = field(default_factory=dict)
-    #: per destination, FIFO of (seq, op) posted but not yet barriered
+    #: per destination, FIFO of (seq, op) posted or flagged but not yet
+    #: barriered
     outstanding: dict[int, list[tuple[int, str]]] = field(default_factory=dict)
     door: dict[int, list[tuple]] = field(default_factory=dict)
     ack: dict[int, list[tuple]] = field(default_factory=dict)
@@ -501,10 +503,8 @@ class ModelState:
         if proc == "parent":
             instr = self.program[self.pc]
             op = instr[0]
-            if op == "post":
-                return frozenset({("door", instr[1]), ("inring", instr[1]), ("life", instr[1])})
             if op == "await":
-                return frozenset({("ack", instr[1]), ("outring", instr[1])})
+                return frozenset({("ack", instr[1])})
             if op == "stage":
                 return frozenset({("inring", instr[1])})
             if op == "flag":
@@ -553,11 +553,9 @@ class ModelState:
         except Violation as violation:
             return violation.finding.message, violation.finding
 
-    def _take_seq(self, dst: int, round_index: int | None) -> int:
+    def _take_seq(self, dst: int) -> int:
         seq = self.next_seq[dst]
         self.next_seq[dst] = seq + 1
-        if round_index is not None and (dst, round_index) in self.faults.stale_seq:
-            return max(0, seq - 1)  # reuse the previous round's seq: stale
         return seq
 
     def _check_pool_refs(self, rank: int, worker: _Worker, needs: tuple, seq: int) -> None:
@@ -594,34 +592,9 @@ class ModelState:
         instr = self.program[self.pc]
         self.pc += 1
         op = instr[0]
-        if op == "post":
-            _, dst, kind, sizes, round_index, *rest = instr
-            needs = rest[0] if rest else ()
-            # No liveness check here: round/task doorbells ride a buffered
-            # pipe, and the real backend's send to a worker that is mid-exit
-            # succeeds and vanishes.  An undelivered doorbell surfaces at
-            # quiescence as a lost wakeup (the classification that names the
-            # root cause), not as an eager send failure.
-            seq = self._take_seq(dst, round_index)
-            ring_dst = dst
-            stamp_dst = dst
-            if round_index is not None and (dst, round_index) in self.faults.wrong_dst:
-                stamp_dst = (dst + 1) % self.world
-            ring = self.in_ring[ring_dst]
-            ring.begin_round()
-            entries: list[_EntryT] = []
-            for nbytes in sizes:
-                placed = ring.write(
-                    seq, stamp_dst, nbytes, force=self.faults.force_place, writer_rank=dst
-                )
-                entries.append(("inline", nbytes) if placed is None else ("ring", placed[0]))
-            data = (tuple(entries), needs) if kind == "reduce" else tuple(entries)
-            self.door[dst].append((kind, seq, data))
-            self.outstanding[dst].append((seq, kind))
-            return f"parent posts {kind} seq {seq} to worker {dst} ({len(sizes)} record(s))"
         if op == "await":
             dst = instr[1]
-            status, seq, entries = self.ack[dst].pop(0)
+            _status, seq = self.ack[dst].pop(0)
             if not self.outstanding[dst]:
                 raise Violation(
                     _finding(
@@ -643,29 +616,35 @@ class ModelState:
                         seq=expected,
                     )
                 )
-            if entries is not None:
-                out = self.out_ring[dst]
-                for entry in entries:
-                    if entry[0] == "ring":
-                        out.read(entry[1], seq, PARENT, reader=dst)
             return f"parent barriers on worker {dst} ack seq {seq} ({kind})"
         if op == "stage":
-            _, dst, kind, sizes, _batch_index, *rest = instr
-            needs = rest[0] if rest else ()
+            _, dst, kind, sizes, batch_index, needs = instr
+            # No liveness check here: staging only writes the ring, and the
+            # real backend stages for a worker that is mid-exit without
+            # error.  A flag the worker never observes surfaces at
+            # quiescence as a lost wakeup, the classification that names
+            # the root cause.
             opened = self.open_batch.get(dst)
             if opened is None:
                 # Opening a batch takes one seq for the whole program and
                 # resets the ring budget once (shm._batch / begin_round).
-                seq = self._take_seq(dst, None)
+                seq = self._take_seq(dst)
                 self.in_ring[dst].begin_round()
                 items: tuple = ()
             else:
                 seq, items = opened
+            stamp_seq = seq
+            if (dst, batch_index) in self.faults.stale_seq:
+                stamp_seq = max(0, seq - 1)  # the previous batch's seq: stale
+            stamp_dst = dst
+            if (dst, batch_index) in self.faults.wrong_dst:
+                stamp_dst = (dst + 1) % self.world
             ring = self.in_ring[dst]
             entries: list[_EntryT] = []
             for nbytes in sizes:
                 placed = ring.write(
-                    seq, dst, nbytes, force=self.faults.force_place, writer_rank=dst
+                    stamp_seq, stamp_dst, nbytes, force=self.faults.force_place,
+                    writer_rank=dst,
                 )
                 entries.append(("inline", nbytes) if placed is None else ("ring", placed[0]))
             self.open_batch[dst] = (seq, items + ((kind, tuple(entries), needs),))
@@ -755,7 +734,7 @@ class ModelState:
                 self.segments.append(seg)
                 seg_id = seg.seg_id
                 self.pool_seg_ids[owner] = seg_id
-            seq = self._take_seq(dst, None)
+            seq = self._take_seq(dst)
             self.door[dst].append(("pool", seq, seg_id))
             self.outstanding[dst].append((seq, "pool"))
             return (
@@ -768,7 +747,7 @@ class ModelState:
                 # The real backend checks is_alive before the graceful close;
                 # posting to a dead worker is itself the double-close bug.
                 self._check_worker_alive(rank, "close doorbell")
-            seq = self._take_seq(rank, None)
+            seq = self._take_seq(rank)
             self.door[rank].append(("close", seq, None))
             self.outstanding[rank].append((seq, "close"))
             return f"parent posts close seq {seq} to worker {rank}"
@@ -796,11 +775,11 @@ class ModelState:
 
     def _step_worker(self, rank: int) -> str:
         worker = self.workers[rank]
-        if worker.phase == _RECV and not self.door[rank]:
-            # Flag-word doorbell (batched steady state).  Enabledness already
-            # required flag seq == expected, so no seq violation can fire
-            # here; a stale flag simply never wakes the worker and is
-            # classified at quiescence.
+        if worker.phase == _RECV and self._flag_ready(rank):
+            # Flag-word doorbell, checked before the pipe as in the real
+            # wait loop.  Readiness already required flag seq == expected,
+            # so no seq violation can fire here; a stale flag simply never
+            # wakes the worker and is classified at quiescence.
             seq, items = self.door_flag[rank]
             self.door_flag[rank] = None
             worker.expected += 1
@@ -835,10 +814,10 @@ class ModelState:
                 )
             worker.expected += 1
             worker.cur_op, worker.cur_seq = op, seq
-            worker.cur_data = data if isinstance(data, tuple) else (data,)
-            worker.phase = _READ if op in ("round", "task", "reduce") else _ACK
+            worker.cur_data = (data,)
+            worker.phase = _ACK
             return f"worker {rank} receives {op} doorbell seq {seq}"
-        if worker.phase == _READ and worker.cur_op == "batch":
+        if worker.phase == _READ:
             ring = self.in_ring[rank]
             done: list[tuple[str, tuple[int, ...]]] = []
             for kind, item_entries, needs in worker.cur_data:
@@ -859,41 +838,7 @@ class ModelState:
                 f"worker {rank} reads its staged program for batch seq "
                 f"{worker.cur_seq} ({len(done)} item(s)) from its inbound ring"
             )
-        if worker.phase == _READ and worker.cur_op == "reduce":
-            entries, needs = worker.cur_data
-            self._check_pool_refs(rank, worker, needs, worker.cur_seq)
-            ring = self.in_ring[rank]
-            sizes = []
-            for entry in entries:
-                if entry[0] == "ring":
-                    ring.read(entry[1], worker.cur_seq, rank, reader=rank)
-                    record = next(r for r in ring.records if r.off == entry[1])
-                    sizes.append(record.nbytes - STAMP_BYTES)
-                else:
-                    sizes.append(entry[1])
-            worker.cur_data = tuple(sizes)
-            worker.phase = _ECHO
-            return (
-                f"worker {rank} reads the reduce spec for seq {worker.cur_seq} "
-                "and folds its chunk in place across the mapped pool segments"
-            )
-        if worker.phase == _READ:
-            ring = self.in_ring[rank]
-            sizes = []
-            for entry in worker.cur_data:
-                if entry[0] == "ring":
-                    ring.read(entry[1], worker.cur_seq, rank, reader=rank)
-                    record = next(r for r in ring.records if r.off == entry[1])
-                    sizes.append(record.nbytes - STAMP_BYTES)
-                else:
-                    sizes.append(entry[1])
-            worker.cur_data = tuple(sizes)
-            worker.phase = _ECHO
-            return (
-                f"worker {rank} reads {len(sizes)} record(s) for seq {worker.cur_seq} "
-                "from its inbound ring"
-            )
-        if worker.phase == _ECHO and worker.cur_op == "batch":
+        if worker.phase == _ECHO:
             out = self.out_ring[rank]
             out.begin_round()
             flat: list[_EntryT] = []
@@ -914,24 +859,18 @@ class ModelState:
                 f"worker {rank} echoes batch seq {worker.cur_seq} "
                 f"({worker.executed} item(s)) into its outbound ring{note}"
             )
-        if worker.phase == _ECHO:
-            out = self.out_ring[rank]
-            out.begin_round()
-            entries: list[_EntryT] = []
-            for nbytes in worker.cur_data:
-                placed = out.write(worker.cur_seq, PARENT, nbytes, force=False, writer_rank=rank)
-                entries.append(("inline", nbytes) if placed is None else ("ring", placed[0]))
-            worker.echo_entries = tuple(entries)
-            worker.phase = _ACK
-            return f"worker {rank} echoes seq {worker.cur_seq} into its outbound ring"
         if worker.phase == _ACK and worker.cur_op == "batch":
             seq, executed = worker.cur_seq, worker.executed
-            self.ack_flag[rank] = (seq, executed, worker.echo_entries, worker.reduced)
+            dropped = (rank, seq) in self.faults.drop_ack
+            if not dropped:
+                self.ack_flag[rank] = (seq, executed, worker.echo_entries, worker.reduced)
             worker.echo_entries = ()
             worker.cur_data = ()
             worker.executed = 0
             worker.reduced = 0
             worker.phase = _RECV
+            if dropped:
+                return f"worker {rank} drops the ack flag for batch seq {seq}"
             return (
                 f"worker {rank} sets its ack flag word for batch seq {seq} "
                 f"({executed} item(s) executed)"
@@ -951,11 +890,9 @@ class ModelState:
                         )
                     )
                 worker.pool_segs = worker.pool_segs + (seg.seg_id,)
-            payload = worker.echo_entries if op in ("round", "task", "reduce") else None
             dropped = (rank, seq) in self.faults.drop_ack
             if not dropped:
-                self.ack[rank].append(("ok", seq, payload))
-            worker.echo_entries = ()
+                self.ack[rank].append(("ok", seq))
             worker.cur_data = ()
             worker.phase = _RECV
             if op == "close":
@@ -994,6 +931,15 @@ class ModelState:
                     rank=rank,
                     seq=seq,
                 )
+            flag = self.door_flag[rank]
+            if flag is not None:
+                return _finding(
+                    RULE_LOST_WAKEUP,
+                    f"batch flag seq {flag[0]} for worker {rank} was never observed "
+                    "(the worker exited first): lost wakeup",
+                    rank=rank,
+                    seq=flag[0],
+                )
         for rank in range(self.world):
             pending = [(seq, op) for seq, op in self.outstanding[rank] if op != "close"]
             if pending:
@@ -1009,7 +955,7 @@ class ModelState:
             # Close acks are legitimately unread (join is the close barrier).
             stray = [
                 (seq, status)
-                for status, seq, _ in self.ack[rank]
+                for status, seq in self.ack[rank]
                 if (seq, "close") not in self.outstanding[rank]
             ]
             if stray:
@@ -1048,7 +994,7 @@ class ModelState:
                 RULE_DEADLOCK,
                 f"wait cycle: parent is blocked on worker {dst}'s ack pipe while "
                 f"worker {dst} is blocked on its doorbell pipe — the ack for the "
-                "current round was never sent",
+                "current doorbell was never sent",
                 rank=dst,
             )
         if instr[0] == "flagwait":
@@ -1106,16 +1052,14 @@ class Workload:
     ``Transport.exchange``'s all-rank barrier).  ``oversize`` appends one
     record larger than the ring to exercise the inline-overflow fallback.
 
-    ``batched`` switches rounds and tasks to the flag-word protocol: rounds
-    are staged into per-destination programs of ``batch_rounds`` rounds each
-    (``0`` = the whole workload in one batch), flagged once, and barriered
-    on the ack flag word; ``pool``/``close`` stay on the pipe, as in the
-    real backend.
+    Rounds are staged into per-destination programs of ``rounds_per_batch``
+    rounds each (``0`` = the whole workload in one batch), flagged once,
+    and barriered on the ack flag word; ``pool``/``close`` stay on the
+    pipe, as in the real backend.
 
     ``reduce`` appends one pool-ref reduce per rank after the pool mapping
     (implying ``pool``): each worker folds its chunk in place across every
-    owner's mapped segment — staged/flagged in batched mode, posted over the
-    pipe otherwise — exercising the descriptor-resolution and
+    owner's mapped segment, exercising the descriptor-resolution and
     peer-write-before-ack invariants (:data:`RULE_POOLREF`).
     """
 
@@ -1126,8 +1070,7 @@ class Workload:
     pool: bool = True
     task: bool = True
     oversize: bool = False
-    batched: bool = False
-    batch_rounds: int = 0
+    rounds_per_batch: int = 0
     reduce: bool = False
 
 
@@ -1135,90 +1078,61 @@ def build_model(workload: Workload, faults: Faults | None = None) -> ModelState:
     """Build the initial model state for ``workload`` with ``faults`` seeded."""
     faults = faults or Faults()
     world = workload.world
+    ranks = range(world)
     program: list[_Instr] = []
     sizes = list(workload.record_sizes)
     if workload.oversize:
         sizes = sizes + [workload.ring_bytes + 32]
-    use_pool = workload.pool or workload.reduce
-    reduce_needs = tuple(range(world))
+    batch_index = 0
 
-    def extend_pool() -> None:
-        # allocate_pool maps each owner's segment into *every* worker,
-        # serially (post + ack per worker), mirroring shm._map_pool's loop.
-        for owner in range(world):
-            for dst in range(world):
+    def flagwait_all() -> None:
+        program.extend(("flagwait", dst) for dst in ranks)
+
+    def stage(kind: str, item_sizes: tuple[int, ...], count: int, needs: tuple = ()) -> None:
+        for dst in ranks:
+            for _ in range(count):
+                program.append(("stage", dst, kind, item_sizes, batch_index, needs))
+
+    def flag(barrier: bool = True) -> None:
+        nonlocal batch_index
+        program.extend(("flag", dst, batch_index) for dst in ranks)
+        if barrier and batch_index not in faults.skip_barrier:
+            flagwait_all()
+        batch_index += 1
+
+    # Round batches, then the pool mappings (serial post + ack per worker,
+    # mirroring shm._map_pool), then a reduce batch and a task batch, each
+    # matching the real backend's stage-then-flush.
+    per = workload.rounds_per_batch or max(workload.rounds, 1)
+    owed = False
+    r = 0
+    while r < workload.rounds:
+        chunk = min(per, workload.rounds - r)
+        stage("round", tuple(sizes), chunk)
+        if owed:
+            # Pipelined: this batch was staged before the previous one's
+            # ack flag was observed; that barrier lands only now.
+            flagwait_all()
+        r += chunk
+        owed = (
+            faults.pipeline_rounds
+            and r < workload.rounds
+            and batch_index not in faults.skip_barrier
+        )
+        flag(barrier=not owed)
+    if workload.pool or workload.reduce:
+        for owner in ranks:
+            for dst in ranks:
                 if (dst, owner) in faults.poolref_unmapped:
                     continue
                 program.append(("pool", dst, owner))
                 program.append(("await", dst))
-
-    if workload.batched:
-        # Flag-word steady state: stage each group of rounds as one program
-        # per destination, ring one flag, barrier one ack flag.  Pool stays
-        # on the pipe; the task runs as its own trailing batch, matching
-        # run_rank_tasks' stage-then-flush.
-        per = workload.batch_rounds or max(workload.rounds, 1)
-        batch_index = 0
-        r = 0
-        while r < workload.rounds:
-            chunk = min(per, workload.rounds - r)
-            for dst in range(world):
-                for _ in range(chunk):
-                    program.append(("stage", dst, "round", tuple(sizes), batch_index))
-            for dst in range(world):
-                program.append(("flag", dst, batch_index))
-            for dst in range(world):
-                program.append(("flagwait", dst))
-            r += chunk
-            batch_index += 1
-        if use_pool:
-            extend_pool()
-        if workload.reduce:
-            for dst in range(world):
-                program.append(("stage", dst, "reduce", (32,), batch_index, reduce_needs))
-            for dst in range(world):
-                program.append(("flag", dst, batch_index))
-            for dst in range(world):
-                program.append(("flagwait", dst))
-            batch_index += 1
-        if workload.task:
-            for rank in range(world):
-                program.append(("stage", rank, "task", (32,), batch_index))
-            for rank in range(world):
-                program.append(("flag", rank, batch_index))
-            for rank in range(world):
-                program.append(("flagwait", rank))
-    else:
-        for r in range(workload.rounds):
-            for dst in range(world):
-                program.append(("post", dst, "round", tuple(sizes), r))
-            if r in faults.skip_barrier:
-                continue
-            if faults.pipeline_rounds and r < workload.rounds - 1:
-                continue  # post the next round before barriering this one
-            for dst in range(world):
-                program.append(("await", dst))
-        if faults.pipeline_rounds:
-            # Drain every ack that was pipelined past its round.
-            for r in range(workload.rounds - 1 if workload.rounds else 0):
-                if r in faults.skip_barrier:
-                    continue
-                for dst in range(world):
-                    program.append(("await", dst))
-        if use_pool:
-            extend_pool()
-        if workload.reduce:
-            # Post-all-then-await-all, mirroring the pipe-mode
-            # pool_ref_reduce: the reduces overlap across workers.
-            for dst in range(world):
-                program.append(("post", dst, "reduce", (32,), None, reduce_needs))
-            for dst in range(world):
-                program.append(("await", dst))
-        if workload.task:
-            for rank in range(world):
-                program.append(("post", rank, "task", (32,), None))
-            for rank in range(world):
-                program.append(("await", rank))
+    if workload.reduce:
+        stage("reduce", (32,), 1, tuple(ranks))
+        flag()
+    if workload.task:
+        stage("task", (32,), 1)
+        flag()
     for rank in range(world):
         if rank in faults.orphan:
             continue
@@ -1226,7 +1140,8 @@ def build_model(workload: Workload, faults: Faults | None = None) -> ModelState:
         if rank in faults.double_close:
             program.append(("close", rank))
         if rank in faults.post_after_close:
-            program.append(("post", rank, "round", tuple(sizes), None))
+            program.append(("stage", rank, "round", tuple(sizes), -1, ()))
+            program.append(("flag", rank, -1))
     for rank in range(world):
         if rank in faults.orphan:
             continue

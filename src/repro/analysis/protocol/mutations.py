@@ -39,27 +39,34 @@ from .model import (
     Workload,
 )
 
-#: The small-but-complete default workload: two ranks, two rounds, a pool
-#: mapping and a task per rank — every protocol phase is exercised.
+#: The small-but-complete default workload: two ranks, two rounds staged
+#: as one batch, a pool mapping and a task batch — every protocol phase is
+#: exercised.  Batch 0 holds the rounds, batch 1 the tasks.
 DEFAULT_WORKLOAD = Workload()
 
-#: Three pipelined rounds whose records wrap a 256-byte ring: the minimal
-#: shape where skipping the barrier lets a write land on an unread slot.
-_WRAP_WORKLOAD = Workload(
-    world=1, rounds=3, record_sizes=(64, 24), ring_bytes=256, pool=False, task=False
-)
+#: One round batch and nothing after it but teardown: the minimal shape
+#: where a skipped ack-flag barrier is still outstanding at exit.
+_ROUNDS_WORKLOAD = Workload(pool=False, task=False)
 
-#: The default workload spoken over the PR 9 flag-word protocol: both
-#: rounds staged as one batch program per destination, plus the task batch.
-_BATCHED_WORKLOAD = Workload(batched=True)
+#: Two single-round batches whose records wrap a 192-byte ring: the minimal
+#: shape where staging batch 1 before batch 0's ack lets a write land on an
+#: unread slot.
+_WRAP_WORKLOAD = Workload(
+    world=1,
+    rounds=2,
+    record_sizes=(64, 24),
+    ring_bytes=192,
+    pool=False,
+    task=False,
+    rounds_per_batch=1,
+)
 
 #: Two single-round batches, rounds only — the minimal shape where batch
 #: 1's flag word can be rung without bumping its seq past batch 0's.
-_STALE_FLAG_WORKLOAD = Workload(batched=True, batch_rounds=1, pool=False, task=False)
+_STALE_FLAG_WORKLOAD = Workload(rounds_per_batch=1, pool=False, task=False)
 
-#: A pool-ref reduce over the batched flag-word protocol: every rank maps
-#: every pool, then executes one in-place reduce chunk (PR 10).
-_REDUCE_WORKLOAD = Workload(world=2, batched=True, reduce=True)
+#: Every rank maps every pool, then executes one in-place reduce chunk.
+_REDUCE_WORKLOAD = Workload(world=2, reduce=True)
 
 
 @dataclass(frozen=True)
@@ -73,27 +80,28 @@ class Mutation:
     description: str = ""
 
 
-#: The seeded-bug suite (ISSUE 8's eight protocol bugs + three extras the
-#: fault model supports: a leaked segment, pipelined ring overlap, and a
-#: doorbell posted behind a close — plus two batched flag-word bugs from
-#: PR 9: an ack set before the staged program ran, and a flag word rung
-#: without bumping its seq — plus two pool-ref bugs from PR 10: a reduce
-#: descriptor targeting a segment its executor never mapped, and a batch
-#: ack raised before the reduce's peer-segment writes completed).
+#: The seeded-bug suite: lifecycle and delivery bugs (dropped ack, stale
+#: seq stamp, early unlink, skipped barrier, oversized record, double
+#: close, wrong-rank delivery, orphaned worker, leaked segment, work behind
+#: a close, pipelined ring overlap), two flag-word bugs (an ack set before
+#: the staged program ran, a flag word rung without bumping its seq), and
+#: two pool-ref bugs (a reduce descriptor targeting a segment its executor
+#: never mapped, a batch ack raised before the reduce's peer-segment writes
+#: completed).
 MUTATIONS: tuple[Mutation, ...] = (
     Mutation(
         name="dropped-ack",
         faults=Faults(drop_ack=((0, 0),)),
         expected_rule=RULE_DEADLOCK,
-        description="worker 0 silently drops its round-0 ack; the parent's "
-        "barrier waits forever",
+        description="worker 0 silently drops the ack flag for its round batch; "
+        "the parent's barrier waits forever",
     ),
     Mutation(
         name="stale-seq",
         faults=Faults(stale_seq=((0, 1),)),
         expected_rule=RULE_SEQ,
-        description="round 1's doorbell to rank 0 reuses round 0's sequence "
-        "number",
+        description="batch 1's records for rank 0 are stamped with the previous "
+        "sequence number while its flag word carries the right one",
     ),
     Mutation(
         name="early-unlink",
@@ -106,7 +114,8 @@ MUTATIONS: tuple[Mutation, ...] = (
         name="skipped-barrier",
         faults=Faults(skip_barrier=(0,)),
         expected_rule=RULE_BARRIER,
-        description="the parent never awaits round 0's acks",
+        workload=_ROUNDS_WORKLOAD,
+        description="the parent never waits on batch 0's ack flags",
     ),
     Mutation(
         name="oversized-record",
@@ -126,7 +135,7 @@ MUTATIONS: tuple[Mutation, ...] = (
         name="wrong-rank-delivery",
         faults=Faults(wrong_dst=((1, 0),)),
         expected_rule=RULE_DELIVERY,
-        description="round 0's records for rank 1 are stamped for another rank",
+        description="batch 0's records for rank 1 are stamped for another rank",
     ),
     Mutation(
         name="orphaned-worker",
@@ -144,22 +153,21 @@ MUTATIONS: tuple[Mutation, ...] = (
         name="post-after-close",
         faults=Faults(post_after_close=(0,)),
         expected_rule=RULE_LOST_WAKEUP,
-        description="a round doorbell is posted to rank 0 behind its close: "
-        "the wakeup is lost in the shutdown",
+        description="a round batch is staged and flagged for rank 0 behind its "
+        "close: the wakeup is lost in the shutdown",
     ),
     Mutation(
         name="pipelined-ring-overlap",
         faults=Faults(pipeline_rounds=True),
         expected_rule=RULE_RING_OVERLAP,
         workload=_WRAP_WORKLOAD,
-        description="rounds are posted without barriering, so a wrapped write "
-        "lands on a slot the worker has not read yet",
+        description="batch 1 is staged before batch 0's ack flag is observed, "
+        "so a wrapped write lands on a slot the worker has not read yet",
     ),
     Mutation(
         name="ack-before-program-end",
         faults=Faults(ack_early=(0,)),
         expected_rule=RULE_PROGRAM,
-        workload=_BATCHED_WORKLOAD,
         description="worker 0 sets its batch ack flag before executing the "
         "staged program: the parent would read echoes that were never written",
     ),

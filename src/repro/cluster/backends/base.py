@@ -134,9 +134,9 @@ class TransportBackend:
     #: kernel flavor collectives pick when no explicit fast-path override is
     #: active: the loop reference (False) or the world-batched kernels (True).
     prefers_fast_path: bool = True
-    #: whether pool-resident payloads should route as :class:`PoolRef`
-    #: descriptors by default (``repro.comm`` consults this the same way it
-    #: consults ``prefers_fast_path``).  Every backend *can* execute
+    #: whether dense collectives over pool-resident buckets route as
+    #: :class:`PoolRef` descriptors and reduce in place (``repro.comm``
+    #: reads this attribute directly).  Every backend *can* execute
     #: :meth:`pool_ref_reduce` over its registered pools; only backends
     #: where the descriptor path actually changes the execution substrate
     #: (the shm worker processes) turn the preference on.

@@ -3,12 +3,9 @@
 Public entry points route to the world-batched fast path by default (see
 :mod:`repro.comm.fastpath`); the per-rank loop implementations remain in
 :mod:`repro.comm.collectives` as the reference oracle.  The payload-level
-round helpers ``alltoall`` / ``allgather_payloads`` are deprecated at this
-package level — the batched kernels made them internal plumbing of the loop
-path; import them from ``repro.comm.collectives`` if you really need them.
+round helpers ``alltoall`` / ``allgather_payloads`` are internal plumbing of
+the loop path and live in ``repro.comm.collectives`` only.
 """
-
-import warnings
 
 from .batched import (
     allgather_sizes,
@@ -30,37 +27,11 @@ from .collectives import (
     ring_reduce_scatter,
     send_recv,
 )
-from .fastpath import (
-    fast_path_enabled,
-    pool_ref_enabled,
-    set_fast_path,
-    set_pool_ref,
-    use_fast_path,
-    use_pool_ref,
-)
+from .fastpath import use_fast_path
 from .group import CommGroup
 from .hierarchical import HierarchicalComm
 from .scatter_reduce import scatter_reduce
 from .tree import tree_allreduce, tree_broadcast, tree_reduce
-
-#: names served lazily with a DeprecationWarning (PEP 562)
-_DEPRECATED_LOOP_INTERNALS = ("alltoall", "allgather_payloads")
-
-
-def __getattr__(name: str) -> object:
-    if name in _DEPRECATED_LOOP_INTERNALS:
-        warnings.warn(
-            f"repro.comm.{name} is a loop-path internal and deprecated at the "
-            f"package level; use the batched collectives or import it from "
-            f"repro.comm.collectives",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from . import collectives
-
-        return getattr(collectives, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     "CommGroup",
@@ -87,11 +58,5 @@ __all__ = [
     "allgather_sizes",
     "chunk_bounds",
     "chunk_sizes",
-    "fast_path_enabled",
-    "set_fast_path",
     "use_fast_path",
-    # pool-ref collectives switch
-    "pool_ref_enabled",
-    "set_pool_ref",
-    "use_pool_ref",
 ]

@@ -35,7 +35,6 @@ import numpy as np
 from ..compression.base import Compressor
 from ..compression.error_feedback import ErrorFeedback
 from .chunking import check_arrays, chunk_bounds
-from .fastpath import resolve_pool_ref
 from .group import CommGroup
 
 #: tuple-header bytes of the ``(index, payload)`` envelope the loop
@@ -225,7 +224,7 @@ def scatter_reduce_batched(
 
     if codec is None and n > 1:
         row_bytes = [_F64_BYTES * w for w in widths]
-        if resolve_pool_ref(group.transport):
+        if group.transport.backend.supports_pool_ref:
             refs = group.transport.backend.resolve_pool_refs(arrays, group.ranks)
             if refs is not None:
                 # Pool-ref fast path: every member's bucket is a dense view
@@ -418,7 +417,7 @@ def ring_allreduce_batched(
         return [np.asarray(arrays[0], dtype=np.float64).copy()]
     total = arrays[0].shape[0]
     owners = [(i + 1) % n for i in range(n)]
-    if resolve_pool_ref(group.transport):
+    if group.transport.backend.supports_pool_ref:
         refs = group.transport.backend.resolve_pool_refs(arrays, group.ranks)
         if refs is not None:
             # Pool-ref fast path: member i's executor reduces its ring chunk

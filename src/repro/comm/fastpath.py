@@ -1,4 +1,4 @@
-"""Global switch between the world-batched fast path and the loop reference.
+"""Kernel switch between the world-batched fast path and the loop reference.
 
 The collectives and primitives ship two implementations with identical
 observable behavior (bitwise-equal outputs, message-for-message identical
@@ -13,138 +13,49 @@ transport schedules):
 Resolution order for each collective call:
 
 1. an explicit per-call ``fast_path=...`` argument;
-2. an explicit global — ``REPRO_FAST_PATH`` in the environment,
-   :func:`set_fast_path`, or the :func:`use_fast_path` context manager;
+2. the :func:`use_fast_path` context manager — the conduit through which
+   the engine applies ``BaguaConfig.fast_path`` for one step;
 3. the transport backend's preference (``backend.prefers_fast_path``):
    ``local`` picks the loop reference, ``batched``/``shm`` the kernels.
+   Without a transport the fast path is the default.
 
-With no explicit setting anywhere the default remains the fast path, so
-behavior is unchanged for existing callers.
-
-The **pool-ref** switch below is the same shape for a different axis: whether
-dense full-precision collectives over pool-resident buckets ship zero-copy
-``PoolRef`` descriptors and reduce in place on the shared pool
-(``backend.pool_ref_reduce``) instead of moving payload bytes.  Resolution:
-explicit global (``REPRO_POOL_REF`` / :func:`set_pool_ref` /
-:func:`use_pool_ref`) first, then the backend's capability flag
-(``backend.supports_pool_ref``) — on for ``shm``, off for the in-process
-backends, where delivery is already zero-copy.
+Whether dense full-precision collectives over pool-resident buckets ship
+zero-copy ``PoolRef`` descriptors and reduce in place is a separate axis,
+decided by the backend alone (``backend.supports_pool_ref``).
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from collections.abc import Iterator
+from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from ..cluster.transport import Transport
 
-_enabled: bool = os.environ.get("REPRO_FAST_PATH", "1").lower() not in ("0", "false", "no")
-# Whether the global was *explicitly* chosen (env var present, set_fast_path,
-# or use_fast_path).  Only an explicit global overrides a transport backend's
-# kernel preference.
-_explicit: bool = "REPRO_FAST_PATH" in os.environ
-
-
-def fast_path_enabled() -> bool:
-    """Current global default for the world-batched fast path."""
-    return _enabled
-
-
-def set_fast_path(enabled: bool | None) -> None:
-    """Set the global fast-path default (True = batched kernels).
-
-    ``None`` clears any explicit global: the default reverts to the
-    environment (``REPRO_FAST_PATH``) and per-call resolution defers to the
-    transport backend's kernel preference again.
-    """
-    global _enabled, _explicit
-    if enabled is None:
-        _enabled = os.environ.get("REPRO_FAST_PATH", "1").lower() not in ("0", "false", "no")
-        _explicit = "REPRO_FAST_PATH" in os.environ
-        return
-    _enabled = bool(enabled)
-    _explicit = True
+#: The kernel forced by an enclosing :func:`use_fast_path`; ``None`` defers
+#: to the transport backend's preference.
+_forced: bool | None = None
 
 
 def resolve_fast_path(override: bool | None, transport: Transport | None = None) -> bool:
     """Resolve a per-call ``fast_path`` argument (see module doc for order)."""
     if override is not None:
         return bool(override)
-    if _explicit or transport is None:
-        return _enabled
+    if _forced is not None:
+        return _forced
+    if transport is None:
+        return True
     return transport.backend.prefers_fast_path
 
 
 @contextmanager
 def use_fast_path(enabled: bool) -> Iterator[None]:
-    """Temporarily force the fast path on or off (tests, benchmarks)."""
-    global _enabled, _explicit
-    previous = _enabled
-    previous_explicit = _explicit
-    _enabled = bool(enabled)
-    _explicit = True
+    """Force the fast path on or off for the enclosed calls."""
+    global _forced
+    previous = _forced
+    _forced = bool(enabled)
     try:
         yield
     finally:
-        _enabled = previous
-        _explicit = previous_explicit
-
-
-# ----------------------------------------------------------------------
-# Pool-ref collectives switch (zero-copy in-place reduction on the pool)
-# ----------------------------------------------------------------------
-_pool_enabled: bool = os.environ.get("REPRO_POOL_REF", "1").lower() not in ("0", "false", "no")
-_pool_explicit: bool = "REPRO_POOL_REF" in os.environ
-
-
-def pool_ref_enabled() -> bool:
-    """Current global default for the pool-ref descriptor fast path."""
-    return _pool_enabled
-
-
-def set_pool_ref(enabled: bool | None) -> None:
-    """Set the global pool-ref default (True = descriptor reduction).
-
-    ``None`` clears any explicit global: the default reverts to the
-    environment (``REPRO_POOL_REF``) and resolution defers to the transport
-    backend's ``supports_pool_ref`` capability again.
-    """
-    global _pool_enabled, _pool_explicit
-    if enabled is None:
-        _pool_enabled = os.environ.get("REPRO_POOL_REF", "1").lower() not in ("0", "false", "no")
-        _pool_explicit = "REPRO_POOL_REF" in os.environ
-        return
-    _pool_enabled = bool(enabled)
-    _pool_explicit = True
-
-
-def resolve_pool_ref(transport: Transport | None) -> bool:
-    """Whether collectives should try the pool-ref path on this transport.
-
-    An explicit global wins; otherwise the backend's capability flag
-    decides.  This only gates the *attempt* — the path still engages per
-    call only when every member array resolves to a pool descriptor
-    (``backend.resolve_pool_refs``), so non-pool payloads keep the codec
-    path regardless of the switch.
-    """
-    if _pool_explicit or transport is None:
-        return _pool_enabled
-    return transport.backend.supports_pool_ref
-
-
-@contextmanager
-def use_pool_ref(enabled: bool) -> Iterator[None]:
-    """Temporarily force the pool-ref path on or off (tests, benchmarks)."""
-    global _pool_enabled, _pool_explicit
-    previous = _pool_enabled
-    previous_explicit = _pool_explicit
-    _pool_enabled = bool(enabled)
-    _pool_explicit = True
-    try:
-        yield
-    finally:
-        _pool_enabled = previous
-        _pool_explicit = previous_explicit
+        _forced = previous

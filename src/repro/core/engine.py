@@ -15,7 +15,6 @@ algorithm are preserved exactly.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from collections.abc import Callable, Sequence
 
@@ -117,7 +116,7 @@ class BaguaEngine:
         workers: Sequence[WorkerContext],
         config: BaguaConfig | None = None,
         grad_guard: bool = False,
-        scheduled: bool | None = None,
+        scheduled: bool = True,
         compute_model: ComputeModel | None = None,
     ) -> None:
         if not (len(models) == len(optimizers) == len(workers)):
@@ -151,21 +150,13 @@ class BaguaEngine:
         self.group = CommGroup(transport, [w.ctx.rank for w in self.workers])
         self.plan: ExecutionPlan | None = None
         self.profile: ExecutionProfile | None = None
-        # ``scheduled=None`` auto-selects: algorithms implementing the
-        # per-bucket API run under the ScheduledExecutor, legacy algorithms
-        # (only ``on_backward_done`` overridden) run the lock-step loop.
-        # ``scheduled=False`` forces the legacy path even for ported
-        # algorithms — the equivalence property tests compare both.
-        if scheduled is None:
-            scheduled = type(algorithm).comm_bucket is not Algorithm.comm_bucket
-        elif scheduled and type(algorithm).comm_bucket is Algorithm.comm_bucket:
-            raise ValueError(
-                f"algorithm {algorithm.name!r} does not implement comm_bucket; "
-                "cannot run it under the scheduled executor"
-            )
+        # ``scheduled=False`` runs the lock-step reference loop (every
+        # bucket's comm_bucket in order, then on_step_end) instead of the
+        # ScheduledExecutor; the executor-equivalence tests compare both.
+        if type(algorithm).comm_bucket is Algorithm.comm_bucket:
+            raise ValueError(f"algorithm {algorithm.name!r} does not implement comm_bucket")
         self._scheduled = scheduled
         self._compute_model = compute_model
-        self._warned_legacy_hook = False
         self.schedule: BucketSchedule | None = None
         self.executor: ScheduledExecutor | None = None
         self._step_index = 0
@@ -222,23 +213,9 @@ class BaguaEngine:
         if self.executor is not None:
             self.executor.run_step(self._step_index)
         else:
-            # Warn (once) only for algorithms that still *override* the
-            # legacy hook; ported algorithms driven through the base shim
-            # (e.g. by the scheduled-vs-legacy equivalence tests) are silent.
-            if (
-                not self._warned_legacy_hook
-                and type(self.algorithm).on_backward_done is not Algorithm.on_backward_done
-            ):
-                self._warned_legacy_hook = True
-                warnings.warn(
-                    f"algorithm {self.algorithm.name!r} overrides the deprecated "
-                    "on_backward_done() compatibility shim; implement "
-                    "comm_bucket() (and on_step_end() for barrier-style "
-                    "updates) to run under the ScheduledExecutor",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-            self.algorithm.on_backward_done(self, self._step_index)
+            for k in range(self.num_buckets):
+                self.algorithm.comm_bucket(self, k, self._step_index)
+            self.algorithm.on_step_end(self, self._step_index)
         # Iteration boundary: batched backends (shm fast path) drain their
         # staged per-worker programs here, so doorbell traffic is O(ranks)
         # per step and any deferred transport fault surfaces this iteration.
@@ -352,13 +329,6 @@ class Algorithm:
     communication.  :meth:`setup` runs once, after the profiling iteration
     built the buckets — the place to allocate per-worker state (error
     feedback, momentum buffers, peer views).
-
-    :meth:`on_backward_done` is the legacy monolithic entry point; its
-    default now loops :meth:`comm_bucket` over the buckets and calls
-    :meth:`on_step_end`, so an unported algorithm overriding only
-    ``on_backward_done`` still runs (lock-step, without the executor's
-    overlap timing), and a ported algorithm driven through
-    ``on_backward_done`` behaves identically to the executor's numerics.
     """
 
     #: registry name, e.g. "allreduce", "qsgd"
@@ -381,14 +351,3 @@ class Algorithm:
     def on_step_end(self, engine: BaguaEngine, step: int) -> None:  # noqa: B027
         """Runs once per iteration after the last bucket's communication."""
         pass
-
-    def on_backward_done(self, engine: BaguaEngine, step: int) -> None:
-        """Legacy lock-step entry point; shims onto the per-bucket API."""
-        if type(self).comm_bucket is Algorithm.comm_bucket:
-            raise NotImplementedError(
-                "Algorithm subclasses must implement comm_bucket() "
-                "(or override on_backward_done for the legacy path)"
-            )
-        for k in range(engine.num_buckets):
-            self.comm_bucket(engine, k, step)
-        self.on_step_end(engine, step)

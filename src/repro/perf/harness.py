@@ -53,9 +53,9 @@ MIN_SPEEDUP_FLOORS: dict[tuple[str, int], float] = {
 #: acceptance criterion) is only meaningful with ≥4 real cores.
 CONDITIONAL_SPEEDUP_FLOORS: dict[tuple[str, int], tuple[float, int]] = {
     ("epoch_compute_bound", 4): (1.8, 4),
-    # Iteration-batched flag-word doorbells vs per-round pipe doorbells
-    # (PR 9 acceptance criterion): only meaningful when the 4 workers and
-    # the parent are not fighting for 2 cores.
+    # One flag-word doorbell per 64 staged rounds vs one per round: only
+    # meaningful when the 4 workers and the parent are not fighting for 2
+    # cores.
     ("shm_round_latency", 4): (3.0, 4),
     # Worker-parallel in-place pool reduction vs the parent executing the
     # same chunk schedule serially (PR 10 acceptance criterion): the four
@@ -347,15 +347,16 @@ def _bench_backend_epoch(world: int, repeats: int) -> list[BenchRecord]:
 # Round-latency and wire-codec benchmarks (PR 9)
 # ----------------------------------------------------------------------
 def _bench_shm_round_latency(world: int, repeats: int) -> list[BenchRecord]:
-    """Per-round doorbell overhead: flag-word batches vs per-round pipes.
+    """Per-round doorbell overhead: a flush per round vs one per 64 rounds.
 
-    Drives the same ring-neighbor rounds through two shm backends —
-    ``loop_s`` with per-round pipe doorbells (``batch_rounds=False``, one
-    doorbell + ack pipe crossing per round per rank) and ``fast_s`` with
-    iteration batching (rounds staged into per-worker programs, one
-    flag-word doorbell per flush).  The flush is inside the timed region,
-    so the speedup column is pure signalling overhead: payloads, ring
-    traffic and echo verification are identical on both sides.
+    Drives the same ring-neighbor rounds through one shm backend —
+    ``loop_s`` flushes after every round (one flag-word doorbell and ack
+    per round per rank, the cost a caller pays when it needs each round
+    delivered before the next), ``fast_s`` stages all rounds and flushes
+    once (one doorbell per rank for the whole program, as the engine does
+    per step).  Both legs run the same protocol with identical payloads,
+    ring traffic and echo verification, so the speedup column is pure
+    signalling overhead.
     """
     from ..cluster.backends.shm import SharedMemoryBackend
     from ..cluster.transport import Message
@@ -363,11 +364,9 @@ def _bench_shm_round_latency(world: int, repeats: int) -> list[BenchRecord]:
     rounds = 64
     payload = np.arange(256, dtype=np.float64)  # 2 KiB per message
     times: dict[bool, float] = {}
-    for batched in (False, True):
-        backend = SharedMemoryBackend(
-            world_size=world, ring_bytes=1 << 20, batch_rounds=batched
-        )
-        try:
+    backend = SharedMemoryBackend(world_size=world, ring_bytes=1 << 20)
+    try:
+        for flush_each in (True, False):
 
             def run() -> None:
                 for r in range(rounds):
@@ -382,12 +381,14 @@ def _bench_shm_round_latency(world: int, repeats: int) -> list[BenchRecord]:
                         for src in range(world)
                     ]
                     backend.route_round(messages)
+                    if flush_each:
+                        backend.flush()
                 backend.flush()
 
-            times[batched] = _best_of(run, repeats)
-        finally:
-            backend.close()
-    return [BenchRecord("shm_round_latency", world, rounds, times[False], times[True])]
+            times[flush_each] = _best_of(run, repeats)
+    finally:
+        backend.close()
+    return [BenchRecord("shm_round_latency", world, rounds, times[True], times[False])]
 
 
 def _bench_shm_pool_reduce(

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ClusterSpec, Transport
-from repro.cluster.backends import SharedMemoryBackend
+from repro.cluster.backends import LocalBackend, SharedMemoryBackend
 from repro.cluster.netmodel import TCP_25G
 from repro.comm import CommGroup, ring_allreduce, scatter_reduce
 from repro.compression import (
@@ -48,6 +48,13 @@ def _shm_backend(world: int) -> SharedMemoryBackend:
     if backend is None or backend._closed:
         backend = SharedMemoryBackend(world)
         _SHM_CACHE[world] = backend
+    return backend
+
+
+def _pool_ref_local(world: int) -> LocalBackend:
+    """The in-process backend with the pool-ref path engaged."""
+    backend = LocalBackend()
+    backend.supports_pool_ref = True
     return backend
 
 
@@ -258,17 +265,17 @@ class TestPoolRefIdentity:
     # worker-parallel in-place executor).  All three must agree on result
     # bits, clocks, stats and traces; the two in-place legs must also
     # agree on the final pool contents.
-    _LEGS = (("oracle", "local", False), ("local", "local", True), ("shm", None, True))
+    _LEGS = (
+        ("oracle", lambda world: LocalBackend()),
+        ("local", _pool_ref_local),
+        ("shm", _shm_backend),
+    )
 
     def _compare_poolref(self, world, base, run, expect_reduces):
-        from repro.comm import use_pool_ref
-
         spec = _spec(world)
         outputs, pools, states, traces = {}, {}, {}, {}
-        for name, backend, pool_refs in self._LEGS:
-            transport = Transport(
-                spec, backend=_shm_backend(world) if backend is None else backend
-            )
+        for name, make_backend in self._LEGS:
+            transport = Transport(spec, backend=make_backend(world))
             group = CommGroup(transport, list(range(world)))
             recorder = _Recorder()
             transport.tracer = recorder
@@ -280,8 +287,7 @@ class TestPoolRefIdentity:
                 array[:] = data
             if name == "shm":
                 before = transport.backend.shm_stats["reduces"]
-            with use_pool_ref(pool_refs):
-                outputs[name] = [np.asarray(a).copy() for a in run(group, arrays)]
+            outputs[name] = [np.asarray(a).copy() for a in run(group, arrays)]
             pools[name] = [a.copy() for a in arrays]
             states[name] = _transport_state(group)
             traces[name] = recorder.rounds

@@ -28,6 +28,15 @@ def _spec(world: int) -> ClusterSpec:
     return ClusterSpec(num_nodes=1, workers_per_node=world)
 
 
+#: The two ways a staged program reaches its worker: the default ring
+#: carries it behind a flag-word doorbell; a 128-byte ring (64 usable
+#: bytes) fits no program, so every one travels as a ``batch`` pipe
+#: message — the oversize fallback.
+_PROGRAM_DELIVERY = pytest.mark.parametrize(
+    "ring_bytes", [1 << 22, 128], ids=["batched", "pipe"]
+)
+
+
 def scale_task(pool, factor):
     pool *= factor
     return float(pool.sum())
@@ -215,7 +224,6 @@ class TestBatchedRounds:
     def test_default_batches_rounds_behind_flag_doorbells(self):
         with Transport(_spec(2), backend="shm") as transport:
             backend = transport.backend
-            assert backend.batch_rounds is True
             for i in range(3):
                 got = transport.exchange([Message(0, 1, np.full(16, float(i)))])
                 assert got[1][0].payload[0] == float(i)
@@ -234,32 +242,6 @@ class TestBatchedRounds:
             backend.flush()
             assert backend.shm_stats["batches"] == batches
 
-    def test_legacy_mode_stays_on_per_round_pipes(self):
-        backend = SharedMemoryBackend(2, batch_rounds=False)
-        with Transport(_spec(2), backend=backend) as transport:
-            got = transport.exchange([Message(0, 1, np.arange(8.0))])[1][0].payload
-            assert np.array_equal(got, np.arange(8.0))
-            backend.flush()
-            stats = backend.shm_stats
-            assert stats["batches"] == 0
-            assert stats["flag_doorbells"] == 0
-
-    def test_batched_and_legacy_deliver_identical_bytes(self):
-        import pickle
-
-        payloads = [
-            np.arange(32.0),
-            {"k": (1, np.arange(3, dtype=np.float32))},
-            b"blob",
-        ]
-        delivered = {}
-        for batched in (False, True):
-            backend = SharedMemoryBackend(2, batch_rounds=batched)
-            with Transport(_spec(2), backend=backend) as transport:
-                inbox = transport.exchange([Message(0, 1, p) for p in payloads])
-                delivered[batched] = [m.payload for m in inbox[1]]
-        assert pickle.dumps(delivered[False]) == pickle.dumps(delivered[True])
-
     def test_tasks_flush_pending_rounds_first(self):
         with Transport(_spec(2), backend="shm") as transport:
             backend = transport.backend
@@ -272,7 +254,11 @@ class TestBatchedRounds:
 
     def test_describe_reports_batch_mode(self):
         with Transport(_spec(2), backend="shm") as transport:
-            assert transport.backend.describe()["batch_rounds"] is True
+            transport.exchange([Message(0, 1, np.arange(4.0))])
+            transport.backend.flush()
+            info = transport.backend.describe()
+            assert info["batches"] == info["flag_doorbells"] == 1
+            assert info["pipe_batch_fallbacks"] == 0
 
 
 class TestShmPoolsAndTasks:
@@ -346,11 +332,11 @@ class TestPoolRefReduce:
             # Any non-pool member keeps the whole collective on the codec path.
             assert backend.resolve_pool_refs([pools[0], np.arange(8.0)], [0, 1]) is None
 
-    @pytest.mark.parametrize("batched", [True, False], ids=["batched", "pipe"])
+    @_PROGRAM_DELIVERY
     @pytest.mark.parametrize("add_zero", [True, False], ids=["add-zero", "plain"])
-    def test_worker_parallel_reduce_matches_serial_fold(self, batched, add_zero):
+    def test_worker_parallel_reduce_matches_serial_fold(self, ring_bytes, add_zero):
         world = 3
-        backend = SharedMemoryBackend(world, batch_rounds=batched)
+        backend = SharedMemoryBackend(world, ring_bytes=ring_bytes)
         with Transport(_spec(world), backend=backend):
             rng = np.random.default_rng(61)
             pools = [backend.allocate_pool(rank, 12) for rank in range(world)]
@@ -373,6 +359,8 @@ class TestPoolRefReduce:
                     acc += 0.0
                 for pool in pools:  # broadcast: every member's slice updated
                     assert pool[lo:hi].tobytes() == acc.tobytes()
+            piped = backend.shm_stats["pipe_batch_fallbacks"] > 0
+            assert piped == (ring_bytes == 128)
 
     def test_chunk_count_mismatch_raises(self):
         with Transport(_spec(2), backend="shm") as transport:
@@ -382,11 +370,11 @@ class TestPoolRefReduce:
             with pytest.raises(ValueError, match="chunk"):
                 backend.pool_ref_reduce(refs, [(0, 8, (0, 1))], add_zero=False)
 
-    @pytest.mark.parametrize("batched", [True, False], ids=["batched", "pipe"])
-    def test_round_stats_count_rounds_only(self, batched):
+    @_PROGRAM_DELIVERY
+    def test_round_stats_count_rounds_only(self, ring_bytes):
         # payload_bytes / inline_fallbacks are *round* traffic counters:
-        # tasks and pool-ref reduces must not move them in either mode.
-        backend = SharedMemoryBackend(2, batch_rounds=batched)
+        # tasks and pool-ref reduces must not move them on either path.
+        backend = SharedMemoryBackend(2, ring_bytes=ring_bytes)
         with Transport(_spec(2), backend=backend) as transport:
             pools = [backend.allocate_pool(rank, 8) for rank in range(2)]
             transport.exchange([Message(0, 1, np.arange(8.0))])

@@ -72,6 +72,7 @@ class ListingTwoAlgorithm(Algorithm):
     """A Listing-2-style algorithm written purely against the facade."""
 
     name = "listing2"
+    update_mode = "barrier"
 
     def setup(self, engine: BaguaEngine) -> None:
         self.global_comm = get_global_comm(engine)
@@ -80,13 +81,13 @@ class ListingTwoAlgorithm(Algorithm):
             self.codec
         )
 
-    def on_backward_done(self, engine: BaguaEngine, step: int) -> None:
-        n = engine.world_size
-        for k in range(engine.num_buckets):
-            summed = self.global_comm.cen_lp_sync.exec(
-                engine.grads_of_bucket(k), self.codec, self.worker_err, self.server_err
-            )
-            engine.set_grads_of_bucket(k, [s / n for s in summed])
+    def comm_bucket(self, engine: BaguaEngine, k: int, step: int) -> None:
+        summed = self.global_comm.cen_lp_sync.exec(
+            engine.grads_of_bucket(k), self.codec, self.worker_err, self.server_err
+        )
+        engine.set_grads_of_bucket(k, [s / engine.world_size for s in summed])
+
+    def on_step_end(self, engine: BaguaEngine, step: int) -> None:
         for worker in engine.workers:
             worker.optimizer_step_on_buckets()
 

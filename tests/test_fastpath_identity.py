@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.cluster import ClusterSpec, Transport
 from repro.cluster.netmodel import TCP_25G
 from repro.comm import CommGroup, chunk_bounds, ring_allreduce, scatter_reduce
-from repro.comm.fastpath import fast_path_enabled, set_fast_path, use_fast_path
+from repro.comm.fastpath import resolve_fast_path, use_fast_path
 from repro.compression import (
     ErrorFeedback,
     OneBitCompressor,
@@ -275,18 +275,8 @@ class TestScheduleAndAnalysisUnchanged:
 
 class TestFastPathSwitch:
     def test_default_enabled(self):
-        assert fast_path_enabled()
-
-    def test_set_and_context_manager_restore(self):
-        assert fast_path_enabled()
-        set_fast_path(False)
-        try:
-            assert not fast_path_enabled()
-            with use_fast_path(True):
-                assert fast_path_enabled()
-            assert not fast_path_enabled()
-        finally:
-            set_fast_path(True)
+        # Without a transport to ask, the kernels default to the fast path.
+        assert resolve_fast_path(None) is True
 
     def test_engine_config_controls_path(self):
         from repro.core.optimizer_framework import BaguaConfig
@@ -296,38 +286,33 @@ class TestFastPathSwitch:
         assert BaguaConfig(fast_path=True).fast_path is True
         assert BaguaConfig(fast_path=False).fast_path is False
 
-    def test_backend_preference_resolves_default(self, monkeypatch):
-        from repro.comm.fastpath import resolve_fast_path
-
-        monkeypatch.delenv("REPRO_FAST_PATH", raising=False)
-        set_fast_path(None)  # clear any explicit global left by other tests
+    def test_backend_preference_resolves_default(self):
         loop_group = _group(2, backend="local")
         fast_group = _group(2, backend="batched")
         assert resolve_fast_path(None, loop_group.transport) is False
         assert resolve_fast_path(None, fast_group.transport) is True
-        # An explicit global (context manager) overrides the preference...
+        # The context manager overrides the preference, nests, and restores
+        # the backend default on exit...
         with use_fast_path(True):
             assert resolve_fast_path(None, loop_group.transport) is True
+            with use_fast_path(False):
+                assert resolve_fast_path(None, fast_group.transport) is False
+            assert resolve_fast_path(None, fast_group.transport) is True
+        assert resolve_fast_path(None, loop_group.transport) is False
         # ...and an explicit per-call argument overrides everything.
         assert resolve_fast_path(True, loop_group.transport) is True
         assert resolve_fast_path(False, fast_group.transport) is False
 
 
 class TestDeprecatedLoopInternals:
-    @pytest.mark.parametrize("name", ["alltoall", "allgather_payloads"])
-    def test_package_level_access_warns(self, name):
-        import repro.comm as comm
-        from repro.comm import collectives
-
-        with pytest.warns(DeprecationWarning, match=name):
-            attr = getattr(comm, name)
-        assert attr is getattr(collectives, name)
-
     def test_unknown_attribute_raises(self):
         import repro.comm as comm
 
         with pytest.raises(AttributeError):
             comm.does_not_exist
+        # The loop-path round helpers live in repro.comm.collectives only.
+        for name in ("alltoall", "allgather_payloads"):
+            assert not hasattr(comm, name)
 
 
 class TestChunkBoundsCache:

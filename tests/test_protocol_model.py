@@ -73,16 +73,11 @@ def test_oversize_record_falls_back_inline_cleanly():
 
 @pytest.mark.parametrize("world", [1, 2, 3])
 def test_clean_batched_model_explores_clean(world):
-    # The PR 9 flag-word steady state: whole-iteration programs staged into
-    # the ring, one doorbell flag per batch, one ack flag per batch.
-    result = explore(Workload(world=world, batched=True))
+    # Several flag-word batches per run: one doorbell flag and one ack flag
+    # per round, so the ring and both flag words are reused across batches.
+    result = explore(Workload(world=world, rounds_per_batch=1))
     assert result.ok, result.describe()
     assert result.finding is None
-
-
-def test_clean_batched_model_with_per_round_batches():
-    result = explore(Workload(batched=True, batch_rounds=1))
-    assert result.ok, result.describe()
 
 
 def test_exploration_result_to_dict_roundtrips():
@@ -141,23 +136,22 @@ _POR_SCENARIOS = [
     ("dropped-ack", Workload(), Faults(drop_ack=((0, 0),))),
     ("stale-seq", Workload(), Faults(stale_seq=((0, 1),))),
     ("leak", Workload(), Faults(skip_unlink=(0,))),
-    ("clean-batched", Workload(batched=True), Faults()),
-    ("ack-early-batched", Workload(batched=True), Faults(ack_early=(0,))),
+    ("clean-batched", Workload(rounds_per_batch=1), Faults()),
+    ("ack-early-batched", Workload(), Faults(ack_early=(0,))),
     (
         "stale-flag-batched",
-        Workload(batched=True, batch_rounds=1, pool=False, task=False),
+        Workload(rounds_per_batch=1, pool=False, task=False),
         Faults(stale_flag=((0, 1),)),
     ),
-    ("clean-reduce-pipe", Workload(world=2, reduce=True), Faults()),
-    ("clean-reduce-batched", Workload(world=2, batched=True, reduce=True), Faults()),
+    ("clean-reduce-batched", Workload(world=2, reduce=True), Faults()),
     (
         "unmapped-poolref-batched",
-        Workload(world=2, batched=True, reduce=True),
+        Workload(world=2, reduce=True),
         Faults(poolref_unmapped=((0, 1),)),
     ),
     (
         "skip-reduce-write-batched",
-        Workload(world=2, batched=True, reduce=True),
+        Workload(world=2, reduce=True),
         Faults(skip_reduce_write=(0,)),
     ),
 ]
@@ -187,9 +181,9 @@ def test_por_actually_reduces_the_clean_state_space():
 # Randomized legal interleavings stay clean (Hypothesis scheduler).
 # ----------------------------------------------------------------------
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), world=st.integers(min_value=1, max_value=3), batched=st.booleans())
-def test_random_legal_interleavings_are_clean(data, world, batched):
-    state = build_model(Workload(world=world, batched=batched), Faults())
+@given(data=st.data(), world=st.integers(min_value=1, max_value=3), reduce=st.booleans())
+def test_random_legal_interleavings_are_clean(data, world, reduce):
+    state = build_model(Workload(world=world, reduce=reduce), Faults())
     steps = 0
     while True:
         procs = state.enabled_procs()

@@ -83,17 +83,8 @@ def _drive(backend) -> list[ProtocolEvent]:
 
 @pytest.fixture(scope="module")
 def shm_stream() -> list[ProtocolEvent]:
-    # Pinned to the legacy per-round pipe protocol: the doctored streams
-    # below edit per-round post/ack shapes that batching coalesces away.
-    return _drive(
-        SharedMemoryBackend(
-            world_size=2, ring_bytes=1 << 16, sanitize=True, batch_rounds=False
-        )
-    )
-
-
-@pytest.fixture(scope="module")
-def shm_batched_stream() -> list[ProtocolEvent]:
+    # Pool mapping over the pipe, then both rounds and the tasks staged as
+    # one flag-word batch per rank, then the close doorbells.
     return _drive(SharedMemoryBackend(world_size=2, ring_bytes=1 << 16, sanitize=True))
 
 
@@ -175,10 +166,14 @@ class TestLiveConformance:
 # ----------------------------------------------------------------------
 # Doctored streams: one divergence, one located root-cause finding.
 # ----------------------------------------------------------------------
-def _drop_round_ack(stream):
+def _batch_post(stream, rank):
+    return next(e for e in stream if e.kind == "post" and e.op == "batch" and e.rank == rank)
+
+
+def _drop_batch_ack(stream):
     return [
         e for e in stream
-        if not (e.kind == "ack_send" and e.proc == "worker:1" and e.op == "round")
+        if not (e.kind == "ack_send" and e.proc == "worker:1" and e.op == "batch")
     ]
 
 
@@ -198,22 +193,20 @@ def _lose_close_doorbell(stream):
 
 
 def _skip_barrier(stream):
-    first = next(
-        e for e in stream if e.kind == "ack_recv" and e.rank == 1 and e.seq == 0
-    )
-    return [e for e in stream if e is not first]
+    seq = _batch_post(stream, 1).seq
+    ack = next(e for e in stream if e.kind == "ack_recv" and e.rank == 1 and e.seq == seq)
+    return [e for e in stream if e is not ack]
 
 
 def _reuse_seq(stream):
-    second = next(
-        e for e in stream if e.kind == "post" and e.rank == 1 and e.seq == 1
-    )
-    return [replace(e, seq=0) if e is second else e for e in stream]
+    # The batch doorbell reuses the seq of the pool doorbell before it.
+    victim = _batch_post(stream, 1)
+    return [replace(e, seq=victim.seq - 1) if e is victim else e for e in stream]
 
 
 def _misdeliver(stream):
     victim = next(
-        e for e in stream if e.kind == "recv" and e.proc == "worker:1" and e.op == "round"
+        e for e in stream if e.kind == "recv" and e.proc == "worker:1" and e.op == "batch"
     )
     return [replace(e, rank=0) if e is victim else e for e in stream]
 
@@ -240,19 +233,22 @@ def _abandon_worker(stream):
 
 
 def _overflow_budget(stream):
-    victim = next(e for e in stream if e.kind == "post" and e.op == "round" and e.rank == 1)
-    return [replace(e, detail=(1, 1 << 20, 0)) if e is victim else e for e in stream]
+    victim = _batch_post(stream, 1)
+    return [replace(e, detail=(3, 1 << 20, 0)) if e is victim else e for e in stream]
 
 
 def _phantom_doorbell(stream):
-    victim = next(
-        e for e in stream if e.kind == "post" and e.op == "round" and e.rank == 1
-    )
-    return [e for e in stream if e is not victim]
+    # The parent neither staged nor posted batch seq 1 for rank 1, yet the
+    # worker served it.
+    seq = _batch_post(stream, 1).seq
+    return [
+        e for e in stream
+        if not (e.proc == "parent" and e.kind in ("stage", "post") and e.rank == 1 and e.seq == seq)
+    ]
 
 
 _DOCTORS = [
-    ("dropped-ack", _drop_round_ack, RULE_LOST_WAKEUP),
+    ("dropped-ack", _drop_batch_ack, RULE_LOST_WAKEUP),
     ("lost-doorbell", _lose_close_doorbell, RULE_LOST_WAKEUP),
     ("skipped-barrier", _skip_barrier, RULE_BARRIER),
     ("reused-seq", _reuse_seq, RULE_SEQ),
@@ -286,36 +282,36 @@ class TestDoctoredStreams:
 # Batched flag-word streams: clean replay + doctored divergences.
 # ----------------------------------------------------------------------
 class TestBatchedStreams:
-    def test_sanitized_batched_stream_is_clean(self, shm_batched_stream):
-        assert shm_batched_stream, "sanitize mode recorded no events"
-        assert check_events(shm_batched_stream) == []
+    def test_sanitized_batched_stream_is_clean(self, shm_stream):
+        assert shm_stream, "sanitize mode recorded no events"
+        assert check_events(shm_stream) == []
 
-    def test_batched_stream_stages_then_flushes(self, shm_batched_stream):
-        stages = [e for e in shm_batched_stream if e.kind == "stage"]
+    def test_batched_stream_stages_then_flushes(self, shm_stream):
+        stages = [e for e in shm_stream if e.kind == "stage"]
         batch_posts = [
-            e for e in shm_batched_stream if e.kind == "post" and e.op == "batch"
+            e for e in shm_stream if e.kind == "post" and e.op == "batch"
         ]
         assert stages, "batched run recorded no stage events"
         assert batch_posts, "batched run recorded no batch doorbells"
         covered = {(e.rank, e.seq) for e in batch_posts}
         assert {(e.rank, e.seq) for e in stages} <= covered
 
-    def test_dropped_batch_post_is_a_barrier_bug(self, shm_batched_stream):
+    def test_dropped_batch_post_is_a_barrier_bug(self, shm_stream):
         victim = next(
-            e for e in shm_batched_stream
+            e for e in shm_stream
             if e.kind == "post" and e.op == "batch" and e.rank == 1
         )
-        doctored = [e for e in shm_batched_stream if e is not victim]
+        doctored = [e for e in shm_stream if e is not victim]
         finding = the_one_finding(check_events(doctored))
         assert finding.rule == RULE_BARRIER, finding.render()
         assert "never flushed" in finding.message
 
-    def test_dropped_batch_ack_is_a_lost_wakeup(self, shm_batched_stream):
+    def test_dropped_batch_ack_is_a_lost_wakeup(self, shm_stream):
         victim = next(
-            e for e in shm_batched_stream
+            e for e in shm_stream
             if e.kind == "ack_send" and e.op == "batch" and e.proc == "worker:1"
         )
-        doctored = [e for e in shm_batched_stream if e is not victim]
+        doctored = [e for e in shm_stream if e is not victim]
         finding = the_one_finding(check_events(doctored))
         assert finding.rule == RULE_LOST_WAKEUP, finding.render()
 

@@ -1,4 +1,4 @@
-"""Property tests: the scheduled executor is a drop-in for the legacy path.
+"""Property tests: the scheduled executor is a drop-in for the lock-step loop.
 
 The :class:`~repro.core.schedule.ScheduledExecutor` drives per-bucket
 communication through the transport's virtual clocks in gradient-ready
@@ -6,8 +6,8 @@ order.  These Hypothesis tests pin the two contracts that make it safe to
 ship as the default execution mode:
 
 * **bit-identical numerics** — for any O/F/H configuration, the final
-  weights after a few steps match the legacy ``on_backward_done`` shim path
-  bit for bit, for both an exact algorithm (allreduce) and a stochastic
+  weights after a few steps match the lock-step reference loop
+  (``scheduled=False``) bit for bit, for both an exact algorithm (allreduce) and a stochastic
   compressed one (QSGD, whose RNG draw order must survive the refactor);
 * **overlap is observable** — on a communication-bound cluster with more
   than one bucket, ``overlap=True`` yields strictly lower transport time
@@ -72,7 +72,7 @@ def _batches(world_size: int, steps: int, seed: int):
     ]
 
 
-def _run(algorithm, config, seed, scheduled=None, inter_node=None, steps=3):
+def _run(algorithm, config, seed, scheduled=True, inter_node=None, steps=3):
     """Train the probe model for a few steps; return engine + final weights."""
     kwargs = {"inter_node": inter_node} if inter_node is not None else {}
     spec = ClusterSpec(num_nodes=2, workers_per_node=2, **kwargs)
