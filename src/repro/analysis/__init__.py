@@ -68,7 +68,6 @@ from .lowering import (  # noqa: F401
     CommPattern,
     emit_iteration,
     layout_from_buckets,
-    layout_from_plan,
     layout_from_schedule,
     lower_plan,
     lower_schedule,
@@ -149,7 +148,6 @@ __all__ = [
     "gossip_peer_sets",
     "gossip_weight_matrix",
     "layout_from_buckets",
-    "layout_from_plan",
     "layout_from_schedule",
     "lower_plan",
     "lower_point",

@@ -12,10 +12,9 @@ Three producers feed the checker suite without (or alongside) a dry run:
   :class:`~repro.core.schedule.ScheduledExecutor` actually runs — walking
   its gated event stream, so per-bucket vs barrier update policies lower to
   different (and separately checkable) op orders;
-* :func:`layout_from_plan` / :func:`layout_from_schedule` /
-  :func:`layout_from_buckets` produce the bucket address layout, planned
-  (cumulative offsets) or real (byte addresses of the live flattened
-  buffers), for the aliasing analysis.
+* :func:`layout_from_schedule` / :func:`layout_from_buckets` produce the
+  bucket address layout, planned (cumulative offsets) or real (byte
+  addresses of the live flattened buffers), for the aliasing analysis.
 
 The per-rank event enumeration itself lives in :func:`emit_iteration`, which
 is parameterized by a :class:`CommPattern` — the algorithm-level shape of
@@ -263,7 +262,6 @@ def lower_plan(
         schedule, world_size, compressor=compressor,
         error_feedback=error_feedback, nodes=nodes,
     )
-    subject.layout = layout_from_plan(plan)
     subject.source = f"plan({plan.config.describe()})"
     return subject
 
@@ -321,28 +319,6 @@ def layout_from_schedule(schedule: BucketSchedule) -> tuple[BucketExtent, ...]:
         extents.append(
             BucketExtent(
                 name=bucket.name,
-                start=base,
-                stop=base + bucket.elements,
-                views=tuple(views),
-            )
-        )
-        base += bucket.elements
-    return tuple(extents)
-
-
-def layout_from_plan(plan: ExecutionPlan) -> tuple[BucketExtent, ...]:
-    """Planned bucket layout: buckets packed back-to-back in one address space."""
-    extents: list[BucketExtent] = []
-    base = 0
-    for bucket in plan.buckets:
-        views = []
-        offset = base
-        for record in bucket.records:
-            views.append(ParamView(name=record.name, start=offset, stop=offset + record.elements))
-            offset += record.elements
-        extents.append(
-            BucketExtent(
-                name=f"bucket{bucket.index}",
                 start=base,
                 stop=base + bucket.elements,
                 views=tuple(views),

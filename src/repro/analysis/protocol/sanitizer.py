@@ -57,8 +57,9 @@ if TYPE_CHECKING:
 
 #: Doorbell kinds that participate in the post → recv → ack exchange
 #: ("batch" is a staged program's single flag-word doorbell, "reduce" a
-#: pool-ref in-place reduction shipped by descriptor).
-_DOORBELL_OPS = ("round", "task", "reduce", "pool", "close", "batch")
+#: pool-ref in-place reduction shipped by descriptor).  Rounds and tasks
+#: never post a doorbell of their own: they are staged into a batch.
+_DOORBELL_OPS = ("reduce", "pool", "close", "batch")
 
 VectorClock = dict[str, int]
 
@@ -176,7 +177,7 @@ class _Replay:
                     ).with_witness(_witness(ev))
                 )
         if (
-            ev.op in ("round", "task", "reduce", "batch")
+            ev.op in ("reduce", "batch")
             and self.capacity is not None
             and len(ev.detail) >= 2
             and int(ev.detail[1]) > self.capacity

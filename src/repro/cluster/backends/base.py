@@ -92,12 +92,12 @@ class ProtocolEvent:
     the event concerns (``-1`` for backend-wide events).  ``kind`` is one of
     ``config, spawn, stage, post, recv, ring_read, ring_write, ack_send,
     ack_recv, pool_map, exit, unlink, closed``; ``op`` carries the doorbell
-    kind (``round``/``task``/``pool``/``close``, or ``batch`` for a staged
-    program's single flag-word doorbell) where one applies; ``detail`` is
-    per-kind metadata (e.g. ``(records, ring_bytes, inline)`` for a round
-    post).  ``stage`` events record rounds/tasks added to a not-yet-flushed
-    batch; every staged ``(rank, seq)`` must later be covered by a
-    ``batch`` post.
+    kind (``pool``/``reduce``/``close``, or ``batch`` for a staged
+    program's single flag-word doorbell) or, on a ``stage`` event, the
+    staged item (``round``/``task``); ``detail`` is per-kind metadata (e.g.
+    ``(records, ring_bytes, inline)`` for a batch post).  ``stage`` events
+    record rounds/tasks added to a not-yet-flushed batch; every staged
+    ``(rank, seq)`` must later be covered by a ``batch`` post.
     """
 
     proc: str
@@ -131,8 +131,8 @@ class TransportBackend:
 
     #: registry name ("local", "batched", "shm")
     name: str = "base"
-    #: kernel flavor collectives pick when no explicit fast-path override is
-    #: active: the loop reference (False) or the world-batched kernels (True).
+    #: kernel flavor every routed collective runs on this backend: the loop
+    #: reference (False) or the world-batched kernels (True).
     prefers_fast_path: bool = True
     #: whether dense collectives over pool-resident buckets route as
     #: :class:`PoolRef` descriptors and reduce in place (``repro.comm``

@@ -1,8 +1,9 @@
 """NCCL-like collectives over the simulated transport.
 
-Public entry points route to the world-batched fast path by default (see
-:mod:`repro.comm.fastpath`); the per-rank loop implementations remain in
-:mod:`repro.comm.collectives` as the reference oracle.  The payload-level
+The transport backend picks the kernel: ``local`` runs the per-rank loop
+implementations in :mod:`repro.comm.collectives` (the reference oracle),
+while ``batched`` and ``shm`` route to the world-batched kernels of
+:mod:`repro.comm.batched` (``backend.prefers_fast_path``).  The payload-level
 round helpers ``alltoall`` / ``allgather_payloads`` are internal plumbing of
 the loop path and live in ``repro.comm.collectives`` only.
 """
@@ -27,7 +28,6 @@ from .collectives import (
     ring_reduce_scatter,
     send_recv,
 )
-from .fastpath import use_fast_path
 from .group import CommGroup
 from .hierarchical import HierarchicalComm
 from .scatter_reduce import scatter_reduce
@@ -58,5 +58,4 @@ __all__ = [
     "allgather_sizes",
     "chunk_bounds",
     "chunk_sizes",
-    "use_fast_path",
 ]

@@ -1,11 +1,13 @@
 """Benchmark suite: loop reference vs world-batched fast path.
 
 Every benchmark times the *same* computation twice — once through the
-per-rank loop kernels (``fast_path=False``) and once through the batched
-``(world, n)`` kernels (``fast_path=True``).  The two are bitwise
-identical in results, traffic accounting and simulated clocks (enforced
-by ``tests/test_fastpath_identity.py``), so the ratio is a pure
-wall-clock speedup.
+per-rank loop kernels and once through the batched ``(world, n)``
+kernels.  The transport backend decides the kernel, so each leg sets
+``prefers_fast_path`` on the (``$REPRO_BACKEND``-selected) backend
+instance it runs on.  The two are bitwise identical in results, traffic
+accounting and simulated clocks (enforced by
+``tests/test_fastpath_identity.py``), so the ratio is a pure wall-clock
+speedup.
 
 Timing protocol: best-of-``repeats`` wall time (``time.perf_counter``)
 around each call; fixed seeds; one transport per (benchmark, world) so
@@ -132,6 +134,22 @@ def _make_group(world: int) -> CommGroup:
     return CommGroup(Transport(spec), list(range(world)))
 
 
+def _loop_vs_fast(
+    group: CommGroup, fn: Callable[[], object], repeats: int
+) -> tuple[float, float]:
+    """Best-of times of ``fn`` on the loop kernels, then the batched ones.
+
+    Both legs share ``group``'s transport; its backend instance picks the
+    kernel each leg runs.
+    """
+    backend = group.transport.backend
+    times = []
+    for fast in (False, True):
+        backend.prefers_fast_path = fast
+        times.append(_best_of(fn, repeats))
+    return times[0], times[1]
+
+
 def calibrate(repeats: int = CALIBRATION_REPEATS) -> float:
     """Time a fixed python-loop + BLAS workload for machine normalization."""
     rng = np.random.default_rng(1234)
@@ -158,8 +176,9 @@ def _bench_scatter_reduce(
         rng = np.random.default_rng(world)
         for size in sizes:
             arrays = [rng.standard_normal(size) for _ in range(world)]
-            loop_s = _best_of(lambda: scatter_reduce(arrays, group, fast_path=False), repeats)
-            fast_s = _best_of(lambda: scatter_reduce(arrays, group, fast_path=True), repeats)
+            loop_s, fast_s = _loop_vs_fast(
+                group, lambda: scatter_reduce(arrays, group), repeats
+            )
             records.append(BenchRecord("scatter_reduce", world, size, loop_s, fast_s))
         group.transport.close()
     return records
@@ -173,8 +192,7 @@ def _bench_ring_allreduce(
         group = _make_group(world)
         rng = np.random.default_rng(world)
         arrays = [rng.standard_normal(size) for _ in range(world)]
-        loop_s = _best_of(lambda: ring_allreduce(arrays, group, fast_path=False), repeats)
-        fast_s = _best_of(lambda: ring_allreduce(arrays, group, fast_path=True), repeats)
+        loop_s, fast_s = _loop_vs_fast(group, lambda: ring_allreduce(arrays, group), repeats)
         records.append(BenchRecord("ring_allreduce", world, size, loop_s, fast_s))
         group.transport.close()
     return records
@@ -187,8 +205,7 @@ def _bench_gossip(worlds: Iterable[int], size: int, repeats: int) -> list[BenchR
         group = _make_group(world)
         rng = np.random.default_rng(world)
         arrays = [rng.standard_normal(size) for _ in range(world)]
-        loop_s = _best_of(lambda: d_fp_s(arrays, group, peers, fast_path=False), repeats)
-        fast_s = _best_of(lambda: d_fp_s(arrays, group, peers, fast_path=True), repeats)
+        loop_s, fast_s = _loop_vs_fast(group, lambda: d_fp_s(arrays, group, peers), repeats)
         records.append(BenchRecord("gossip_d_fp_s", world, size, loop_s, fast_s))
         group.transport.close()
     return records
@@ -201,12 +218,7 @@ def _bench_c_lp_s(worlds: Iterable[int], size: int, repeats: int) -> list[BenchR
         rng = np.random.default_rng(world)
         arrays = [rng.standard_normal(size) for _ in range(world)]
         codec = QSGDCompressor(bits=8, rng=np.random.default_rng(7))
-        loop_s = _best_of(
-            lambda: c_lp_s(arrays, group, codec, fast_path=False), repeats
-        )
-        fast_s = _best_of(
-            lambda: c_lp_s(arrays, group, codec, fast_path=True), repeats
-        )
+        loop_s, fast_s = _loop_vs_fast(group, lambda: c_lp_s(arrays, group, codec), repeats)
         records.append(BenchRecord("c_lp_s_qsgd8", world, size, loop_s, fast_s))
         group.transport.close()
     return records
@@ -260,7 +272,6 @@ def _bench_compressors(
 def _bench_epoch(worlds: Iterable[int]) -> list[BenchRecord]:
     """One functional training epoch (VGG proxy + QSGD-8bit), both paths."""
     from ..algorithms import QSGD
-    from ..core.optimizer_framework import BaguaConfig
     from ..data.loader import make_sharded_loaders
     from ..training import DistributedTrainer, get_task
 
@@ -280,9 +291,9 @@ def _bench_epoch(worlds: Iterable[int]) -> list[BenchRecord]:
                 task.model_factory,
                 task.make_optimizer,
                 QSGD(bits=8),
-                config=BaguaConfig(fast_path=fast),
                 seed=0,
             )
+            trainer.transport.backend.prefers_fast_path = fast
             # Large worlds shard the 512-example set below the task's default
             # batch size, so cap batches at the shard size.
             batch = min(task.batch_size, len(dataset) // world)

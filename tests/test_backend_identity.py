@@ -5,8 +5,9 @@ backend to be observationally identical — same result bits, same virtual
 clocks, same :class:`TrafficStats`, same round counters, same recorded
 traces — differing only in wall clock and address spaces.  These tests
 drive every collective × compressor combination through the in-process
-oracle and the multiprocess shm backend side by side, on the loop path
-(``fast_path=False``) so message payloads genuinely cross the rings.
+oracle and the multiprocess shm backend side by side, on the loop kernel
+(``prefers_fast_path = False`` on the shm instance) so message payloads
+genuinely cross the rings; each such leg asserts that shm staged rounds.
 
 One shm backend per world size is reused across tests/examples (workers
 are expensive to spawn); backends re-attach cleanly to fresh transports.
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ClusterSpec, Transport
-from repro.cluster.backends import LocalBackend, SharedMemoryBackend
+from repro.cluster.backends import BatchedBackend, LocalBackend, SharedMemoryBackend
 from repro.cluster.netmodel import TCP_25G
 from repro.comm import CommGroup, ring_allreduce, scatter_reduce
 from repro.compression import (
@@ -43,19 +44,43 @@ CODEC_FACTORIES = {
 _SHM_CACHE: dict[int, SharedMemoryBackend] = {}
 
 
-def _shm_backend(world: int) -> SharedMemoryBackend:
+def _shm_backend(world: int, fast: bool = True) -> SharedMemoryBackend:
+    """The cached shm backend for ``world``, running the kernel ``fast`` names.
+
+    The loop kernel (``fast=False``) makes message payloads cross the rings;
+    the batched kernels send size stubs only.  The preference is set on
+    every hand-out because the instance is shared across tests.
+    """
     backend = _SHM_CACHE.get(world)
     if backend is None or backend._closed:
         backend = SharedMemoryBackend(world)
         _SHM_CACHE[world] = backend
+    backend.prefers_fast_path = fast
     return backend
 
 
-def _pool_ref_local(world: int) -> LocalBackend:
+def _in_process(world: int, fast: bool) -> LocalBackend:
+    """The in-process backend running the loop (local) or batched kernel."""
+    return BatchedBackend() if fast else LocalBackend()
+
+
+def _pool_ref_local(world: int, fast: bool) -> LocalBackend:
     """The in-process backend with the pool-ref path engaged."""
-    backend = LocalBackend()
+    backend = _in_process(world, fast)
     backend.supports_pool_ref = True
     return backend
+
+
+def _shm_traffic(backend: SharedMemoryBackend) -> tuple[int, int]:
+    info = backend.describe()
+    return info["rounds"], info["payload_bytes"]
+
+
+def _assert_shm_moved(before: tuple[int, int], backend: SharedMemoryBackend) -> None:
+    """The leg staged rounds and shipped payload bytes through shm."""
+    rounds, payload_bytes = _shm_traffic(backend)
+    assert rounds > before[0], "shm staged no rounds during the leg"
+    assert payload_bytes > before[1], "shm shipped no payload bytes during the leg"
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -71,9 +96,12 @@ class _Recorder:
 
     def __init__(self):
         self.rounds = []
+        #: messages that carried a payload rather than a batched-kernel size stub
+        self.payloads = 0
 
     def on_exchange(self, messages):
         self.rounds.append([(m.src, m.dst, m.nbytes, m.match_id) for m in messages])
+        self.payloads += sum(m.payload is not None for m in messages)
 
     def on_collective(self, group, kind, elements, **meta):
         self.rounds.append(("collective", kind, elements, tuple(sorted(meta))))
@@ -104,21 +132,27 @@ def _transport_state(group: CommGroup) -> tuple:
 
 
 def _compare(world: int, run):
-    """Run ``run(group)`` on both backends; assert total observational identity."""
-    from repro.comm.fastpath import use_fast_path
+    """Run ``run(group)`` on both backends; assert total observational identity.
 
+    Both legs run the loop kernel, so payloads really route through
+    route_round (the batched kernels send size stubs only).
+    """
     spec = _spec(world)
-    outputs, states, traces = {}, {}, {}
-    for name, backend in (("local", "local"), ("shm", _shm_backend(world))):
+    outputs, states, traces, payloads = {}, {}, {}, {}
+    shm = _shm_backend(world, fast=False)
+    before = _shm_traffic(shm)
+    for name, backend in (("local", "local"), ("shm", shm)):
         group = CommGroup(Transport(spec, backend=backend), list(range(world)))
         recorder = _Recorder()
         group.transport.tracer = recorder
-        # Force the loop path on both backends so payloads really route
-        # through route_round (the fast path sends size stubs only).
-        with use_fast_path(False):
-            outputs[name] = run(group)
+        outputs[name] = run(group)
         states[name] = _transport_state(group)
         traces[name] = recorder.rounds
+        payloads[name] = recorder.payloads
+    _assert_shm_moved(before, shm)
+    # Under a tracer the batched kernels route size stubs through shm too,
+    # so also check that the shm leg shipped the loop kernel's payloads.
+    assert payloads["local"] == payloads["shm"] > 0, "shm leg ran size stubs"
     local_out, shm_out = outputs["local"], outputs["shm"]
     assert len(local_out) == len(shm_out)
     for a, b in zip(local_out, shm_out):
@@ -139,14 +173,14 @@ class TestCollectiveIdentity:
     def test_scatter_reduce(self, world, size, seed):
         rng = np.random.default_rng(seed)
         base = [rng.standard_normal(size) for _ in range(world)]
-        _compare(world, lambda g: scatter_reduce([a.copy() for a in base], g, fast_path=False))
+        _compare(world, lambda g: scatter_reduce([a.copy() for a in base], g))
 
     @settings(max_examples=6, deadline=None)
     @given(world=worlds, size=sizes, seed=st.integers(0, 2**16))
     def test_ring_allreduce(self, world, size, seed):
         rng = np.random.default_rng(seed)
         base = [rng.standard_normal(size) for _ in range(world)]
-        _compare(world, lambda g: ring_allreduce([a.copy() for a in base], g, fast_path=False))
+        _compare(world, lambda g: ring_allreduce([a.copy() for a in base], g))
 
     @settings(max_examples=6, deadline=None)
     @given(world=worlds, size=sizes, seed=st.integers(0, 2**16))
@@ -162,14 +196,14 @@ class TestCollectiveIdentity:
         base = [rng.standard_normal(size) for _ in range(world)]
         _compare(
             world,
-            lambda g: d_fp_s([a.copy() for a in base], g, RingPeers(), fast_path=False),
+            lambda g: d_fp_s([a.copy() for a in base], g, RingPeers()),
         )
 
     def test_multi_node_world_eight(self):
         # Mixes NVLink and TCP fabrics (2 nodes x 4 workers).
         rng = np.random.default_rng(8)
         base = [rng.standard_normal(64) for _ in range(8)]
-        _compare(8, lambda g: scatter_reduce([a.copy() for a in base], g, fast_path=False))
+        _compare(8, lambda g: scatter_reduce([a.copy() for a in base], g))
 
 
 class TestCompressedIdentity:
@@ -180,7 +214,7 @@ class TestCompressedIdentity:
 
         def run(group):
             codec = CODEC_FACTORIES[codec_name]()
-            return c_lp_s([a.copy() for a in base], group, codec, fast_path=False)
+            return c_lp_s([a.copy() for a in base], group, codec)
 
         _compare(4, run)
 
@@ -191,9 +225,7 @@ class TestCompressedIdentity:
 
         def run(group):
             codec = CODEC_FACTORIES[codec_name]()
-            return d_lp_s(
-                [a.copy() for a in base], group, codec, RingPeers(), fast_path=False
-            )
+            return d_lp_s([a.copy() for a in base], group, codec, RingPeers())
 
         _compare(4, run)
 
@@ -212,7 +244,6 @@ class TestCompressedIdentity:
                 out = c_lp_s(
                     [a.copy() for a in base], group, codec,
                     worker_errors=worker_err, server_errors=server_err,
-                    fast_path=False,
                 )
             residuals[group.transport.backend.name] = (worker_err, server_err)
             return out
@@ -233,11 +264,11 @@ class TestTracedRounds:
         rng = np.random.default_rng(31)
         base = [rng.standard_normal(40) for _ in range(4)]
         events = {}
-        for name, backend in (("local", "local"), ("shm", _shm_backend(4))):
+        for name, backend in (("local", "local"), ("shm", _shm_backend(4, fast=False))):
             transport = Transport(spec, backend=backend)
             group = CommGroup(transport, list(range(4)))
             recorder = TraceRecorder(4).install(transport)
-            scatter_reduce([a.copy() for a in base], group, fast_path=False)
+            scatter_reduce([a.copy() for a in base], group)
             events[name] = [
                 (op.rank, op.seq, op.kind, op.round, op.elements, op.nbytes,
                  op.peers, op.group, op.match)
@@ -264,18 +295,20 @@ class TestPoolRefIdentity:
     # generic *serial* in-place executor) and shm with pool refs (the
     # worker-parallel in-place executor).  All three must agree on result
     # bits, clocks, stats and traces; the two in-place legs must also
-    # agree on the final pool contents.
+    # agree on the final pool contents.  Every leg runs the kernel
+    # ``fast`` names: batched for the dense collectives, the loop for the
+    # compressed ones.
     _LEGS = (
-        ("oracle", lambda world: LocalBackend()),
+        ("oracle", _in_process),
         ("local", _pool_ref_local),
         ("shm", _shm_backend),
     )
 
-    def _compare_poolref(self, world, base, run, expect_reduces):
+    def _compare_poolref(self, world, base, run, expect_reduces, fast):
         spec = _spec(world)
         outputs, pools, states, traces = {}, {}, {}, {}
         for name, make_backend in self._LEGS:
-            transport = Transport(spec, backend=make_backend(world))
+            transport = Transport(spec, backend=make_backend(world, fast))
             group = CommGroup(transport, list(range(world)))
             recorder = _Recorder()
             transport.tracer = recorder
@@ -313,8 +346,8 @@ class TestPoolRefIdentity:
         rng = np.random.default_rng(seed)
         base = [rng.standard_normal(size) for _ in range(world)]
         self._compare_poolref(
-            world, base, lambda g, arrays: scatter_reduce(arrays, g, fast_path=True),
-            expect_reduces=True,
+            world, base, lambda g, arrays: scatter_reduce(arrays, g),
+            expect_reduces=True, fast=True,
         )
 
     @settings(max_examples=8, deadline=None)
@@ -323,8 +356,8 @@ class TestPoolRefIdentity:
         rng = np.random.default_rng(seed)
         base = [rng.standard_normal(size) for _ in range(world)]
         self._compare_poolref(
-            world, base, lambda g, arrays: ring_allreduce(arrays, g, fast_path=True),
-            expect_reduces=True,
+            world, base, lambda g, arrays: ring_allreduce(arrays, g),
+            expect_reduces=True, fast=True,
         )
 
     @settings(max_examples=4, deadline=None)
@@ -374,9 +407,9 @@ class TestPoolRefIdentity:
 
         def run(group, arrays):
             codec = CODEC_FACTORIES[codec_name]()
-            return c_lp_s(arrays, group, codec, fast_path=False)
+            return c_lp_s(arrays, group, codec)
 
-        self._compare_poolref(4, base, run, expect_reduces=False)
+        self._compare_poolref(4, base, run, expect_reduces=False, fast=False)
 
     def test_error_feedback_residuals_across_steps(self):
         rng = np.random.default_rng(43)
@@ -392,12 +425,11 @@ class TestPoolRefIdentity:
                 out = c_lp_s(
                     arrays, group, codec,
                     worker_errors=worker_err, server_errors=server_err,
-                    fast_path=False,
                 )
             residuals[group.transport.backend.name] = (worker_err, server_err)
             return out
 
-        self._compare_poolref(4, base, run, expect_reduces=False)
+        self._compare_poolref(4, base, run, expect_reduces=False, fast=False)
         for local_ef, shm_ef in zip(residuals["local"], residuals["shm"]):
             for a, b in zip(local_ef, shm_ef):
                 assert a._residuals.keys() == b._residuals.keys()
@@ -412,21 +444,21 @@ class TestPoolRefIdentity:
         base = [rng.standard_normal(72) for _ in range(4)]
         spec = _spec(4)
         outputs, states = {}, {}
-        for name, backend in (("local", "local"), ("shm", _shm_backend(4))):
+        for name, backend in (("batched", "batched"), ("shm", _shm_backend(4))):
             transport = Transport(spec, backend=backend)
             group = CommGroup(transport, list(range(4)))
             arrays = [a.copy() for a in base]
             if name == "shm":
                 before = dict(transport.backend.shm_stats)
-            outputs[name] = [a.copy() for a in scatter_reduce(arrays, group, fast_path=True)]
+            outputs[name] = [a.copy() for a in scatter_reduce(arrays, group)]
             states[name] = _transport_state(group)
             if name == "shm":
                 after = transport.backend.shm_stats
                 assert after["reduces"] == before["reduces"]
                 assert after["pool_ref_payloads"] == before["pool_ref_payloads"]
-        for a, b in zip(outputs["local"], outputs["shm"]):
+        for a, b in zip(outputs["batched"], outputs["shm"]):
             assert a.tobytes() == b.tobytes()
-        assert states["local"] == states["shm"]
+        assert states["batched"] == states["shm"]
 
     def test_trace_recorder_and_hb_reports_identical(self):
         from repro.analysis import AnalysisSubject, check_hb
@@ -436,7 +468,7 @@ class TestPoolRefIdentity:
         rng = np.random.default_rng(53)
         base = [rng.standard_normal(96) for _ in range(4)]
         events, reports = {}, {}
-        for name, backend in (("local", "local"), ("shm", _shm_backend(4))):
+        for name, backend in (("batched", "batched"), ("shm", _shm_backend(4))):
             transport = Transport(spec, backend=backend)
             group = CommGroup(transport, list(range(4)))
             arrays = [
@@ -446,8 +478,8 @@ class TestPoolRefIdentity:
             for array, data in zip(arrays, base):
                 array[:] = data
             recorder = TraceRecorder(4).install(transport)
-            scatter_reduce(arrays, group, fast_path=True)
-            ring_allreduce(arrays, group, fast_path=True)
+            scatter_reduce(arrays, group)
+            ring_allreduce(arrays, group)
             events[name] = [
                 (op.rank, op.seq, op.kind, op.round, op.elements, op.nbytes,
                  op.peers, op.group, op.match)
@@ -456,9 +488,9 @@ class TestPoolRefIdentity:
             subject = AnalysisSubject(world_size=4, trace=recorder.trace)
             reports[name] = [finding.explain() for finding in check_hb(subject)]
             recorder.uninstall()
-        assert len(events["local"]) > 0
-        assert events["local"] == events["shm"]
-        assert reports["local"] == reports["shm"] == []
+        assert len(events["batched"]) > 0
+        assert events["batched"] == events["shm"]
+        assert reports["batched"] == reports["shm"] == []
 
 
 class TestEngineEndToEnd:
@@ -475,14 +507,19 @@ class TestEngineEndToEnd:
             spec = ClusterSpec(num_nodes=1, workers_per_node=2, inter_node=TCP_25G)
             trainer = DistributedTrainer(
                 spec, task.model_factory, task.make_optimizer, QSGD(bits=8),
-                # fast_path=False keeps the loop path so bucket payloads
-                # genuinely travel through the backend every round.
-                config=BaguaConfig(backend=backend, fast_path=False),
+                config=BaguaConfig(backend=backend),
                 seed=0,
             )
             assert trainer.transport.backend.name == backend
+            # The loop kernel (local's default) makes bucket payloads
+            # genuinely travel through the backend every round.
+            trainer.transport.backend.prefers_fast_path = False
+            if backend == "shm":
+                before = _shm_traffic(trainer.transport.backend)
             loaders = make_sharded_loaders(dataset, 2, 16, seed=0)
             record = trainer.train(loaders, task.loss_fn, epochs=1, label="parity")
+            if backend == "shm":
+                _assert_shm_moved(before, trainer.transport.backend)
             weights = np.concatenate(
                 [w.flatten() for w in trainer.engine.workers[0].model.state_dict().values()]
             )

@@ -6,7 +6,8 @@ virtual clocks, same traffic statistics, same round counters, same
 compressor RNG streams and error-feedback residuals, and — through the
 analysis stack — identical lowered schedules and happens-before reports.
 These tests drive both implementations side by side over every collective
-x compressor combination.
+x compressor combination.  The transport backend picks the kernel: the
+``local`` leg runs the loop reference, the ``batched`` leg the kernels.
 """
 
 import numpy as np
@@ -17,7 +18,6 @@ from hypothesis import strategies as st
 from repro.cluster import ClusterSpec, Transport
 from repro.cluster.netmodel import TCP_25G
 from repro.comm import CommGroup, chunk_bounds, ring_allreduce, scatter_reduce
-from repro.comm.fastpath import resolve_fast_path, use_fast_path
 from repro.compression import (
     ErrorFeedback,
     OneBitCompressor,
@@ -44,6 +44,10 @@ CODEC_FACTORIES = {
     "topk": lambda: TopKCompressor(ratio=0.25),
     "signsgd": SignSGDCompressor,
 }
+
+
+#: The backend each kernel runs on: loop reference (False) or batched (True).
+KERNEL_BACKENDS = {False: "local", True: "batched"}
 
 
 def _group(world: int, backend: str = "batched") -> CommGroup:
@@ -85,9 +89,9 @@ def _assert_identical(loop_out, fast_out, loop_group, fast_group):
 def _compare(world: int, length: int, seed: int, run) -> None:
     rng = np.random.default_rng(seed)
     base = [rng.standard_normal(length) for _ in range(world)]
-    loop_group, fast_group = _group(world), _group(world)
-    loop_out = run(loop_group, [a.copy() for a in base], False)
-    fast_out = run(fast_group, [a.copy() for a in base], True)
+    loop_group, fast_group = _group(world, "local"), _group(world, "batched")
+    loop_out = run(loop_group, [a.copy() for a in base])
+    fast_out = run(fast_group, [a.copy() for a in base])
     _assert_identical(loop_out, fast_out, loop_group, fast_group)
 
 
@@ -103,7 +107,7 @@ class TestCollectiveIdentity:
     def test_scatter_reduce(self, world, length, seed):
         _compare(
             world, length, seed,
-            lambda g, arrs, fp: scatter_reduce(arrs, g, fast_path=fp),
+            lambda g, arrs: scatter_reduce(arrs, g),
         )
 
     @settings(max_examples=40, deadline=None)
@@ -115,7 +119,7 @@ class TestCollectiveIdentity:
     def test_ring_allreduce(self, world, length, seed):
         _compare(
             world, length, seed,
-            lambda g, arrs, fp: ring_allreduce(arrs, g, fast_path=fp),
+            lambda g, arrs: ring_allreduce(arrs, g),
         )
 
     def test_multi_node_worlds(self):
@@ -125,19 +129,12 @@ class TestCollectiveIdentity:
         for world in (8, 16):
             _compare(
                 world, 257, world,
-                lambda g, arrs, fp: scatter_reduce(arrs, g, fast_path=fp),
+                lambda g, arrs: scatter_reduce(arrs, g),
             )
 
     def test_c_fp_s_routes_through_default(self):
-        # c_fp_s has no fast_path parameter: it follows the global switch.
-        rng = np.random.default_rng(0)
-        base = [rng.standard_normal(100) for _ in range(4)]
-        loop_group, fast_group = _group(4), _group(4)
-        with use_fast_path(False):
-            loop_out = c_fp_s([a.copy() for a in base], loop_group)
-        with use_fast_path(True):
-            fast_out = c_fp_s([a.copy() for a in base], fast_group)
-        _assert_identical(loop_out, fast_out, loop_group, fast_group)
+        # c_fp_s routes to scatter_reduce, which follows the backend.
+        _compare(4, 100, 0, lambda g, arrs: c_fp_s(arrs, g))
 
 
 class TestCompressorMatrix:
@@ -154,7 +151,7 @@ class TestCompressorMatrix:
         make = CODEC_FACTORIES[codec_name]
         _compare(
             world, length, seed,
-            lambda g, arrs, fp: c_lp_s(arrs, g, make(), fast_path=fp),
+            lambda g, arrs: c_lp_s(arrs, g, make()),
         )
 
     @pytest.mark.parametrize("codec_name", sorted(CODEC_FACTORIES))
@@ -168,7 +165,7 @@ class TestCompressorMatrix:
         make = CODEC_FACTORIES[codec_name]
         _compare(
             world, length, seed,
-            lambda g, arrs, fp: d_lp_s(arrs, g, make(), RingPeers(), fast_path=fp),
+            lambda g, arrs: d_lp_s(arrs, g, make(), RingPeers()),
         )
 
     @settings(max_examples=25, deadline=None)
@@ -181,9 +178,7 @@ class TestCompressorMatrix:
     def test_d_fp_s_random_peers(self, world, length, step, seed):
         _compare(
             world, length, seed,
-            lambda g, arrs, fp: d_fp_s(
-                arrs, g, RandomPeers(seed=7), step=step, fast_path=fp
-            ),
+            lambda g, arrs: d_fp_s(arrs, g, RandomPeers(seed=7), step=step),
         )
 
     @pytest.mark.parametrize("codec_name", sorted(CODEC_FACTORIES))
@@ -198,7 +193,7 @@ class TestCompressorMatrix:
         ]
         outs, efs = {}, {}
         for fast in (False, True):
-            group = _group(world)
+            group = _group(world, KERNEL_BACKENDS[fast])
             codec = make()
             workers = [ErrorFeedback(make()) for _ in range(world)]
             servers = [ErrorFeedback(make()) for _ in range(world)]
@@ -206,7 +201,6 @@ class TestCompressorMatrix:
                 c_lp_s(
                     [a.copy() for a in arrays], group, codec,
                     worker_errors=workers, server_errors=servers,
-                    fast_path=fast,
                 )
                 for arrays in steps
             ]
@@ -227,24 +221,22 @@ class TestHierarchicalIdentity:
         make = CODEC_FACTORIES[codec_name]
         _compare(
             8, 129, 5,
-            lambda g, arrs, fp: c_lp_s(
-                arrs, g, make(), hierarchical=True, fast_path=fp
-            ),
+            lambda g, arrs: c_lp_s(arrs, g, make(), hierarchical=True),
         )
 
 
 class TestScheduleAndAnalysisUnchanged:
     """The fast path must not perturb lowered schedules or HB reports."""
 
-    def test_analyze_hb_identical_across_paths(self):
+    def test_analyze_hb_identical_across_paths(self, monkeypatch):
         from repro.analysis import analyze_algorithm
+        from repro.cluster.backends import BACKEND_ENV_VAR
 
         reports = {}
         for fast in (False, True):
-            with use_fast_path(fast):
-                reports[fast] = analyze_algorithm(
-                    "allreduce", steps=2, hb=True
-                ).to_dict()
+            # analyze_algorithm builds its transport on the env-selected backend.
+            monkeypatch.setenv(BACKEND_ENV_VAR, KERNEL_BACKENDS[fast])
+            reports[fast] = analyze_algorithm("allreduce", steps=2, hb=True).to_dict()
         assert reports[False] == reports[True]
         assert reports[True]["ok"]
 
@@ -265,43 +257,71 @@ class TestScheduleAndAnalysisUnchanged:
         base = [rng.standard_normal(50) for _ in range(4)]
         traces = {}
         for fast in (False, True):
-            group = _group(4)
+            group = _group(4, KERNEL_BACKENDS[fast])
             recorder = _Recorder()
             group.transport.tracer = recorder
-            scatter_reduce([a.copy() for a in base], group, fast_path=fast)
+            scatter_reduce([a.copy() for a in base], group)
             traces[fast] = recorder.rounds
         assert traces[False] == traces[True]
 
 
+def _ships_payloads(group: CommGroup) -> bool:
+    """Whether one traced scatter_reduce on ``group`` ships real payloads.
+
+    The loop kernel sends the chunk arrays themselves; the batched kernels
+    send size stubs (``payload=None``), so the payloads tell which kernel
+    the backend picked.
+    """
+    shipped = set()
+
+    class _Payloads:
+        def on_exchange(self, messages):
+            shipped.update(m.payload is not None for m in messages)
+
+    group.transport.tracer = _Payloads()
+    scatter_reduce([np.ones(8) for _ in range(group.size)], group)
+    (only,) = shipped
+    return only
+
+
 class TestFastPathSwitch:
-    def test_default_enabled(self):
-        # Without a transport to ask, the kernels default to the fast path.
-        assert resolve_fast_path(None) is True
+    """The transport backend is the one kernel switch."""
+
+    def test_default_enabled(self, monkeypatch):
+        # The default backend picks the batched kernels.
+        from repro.cluster.backends import BACKEND_ENV_VAR
+
+        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+        spec = ClusterSpec(num_nodes=1, workers_per_node=2)
+        assert Transport(spec).backend.prefers_fast_path is True
 
     def test_engine_config_controls_path(self):
+        from repro.algorithms import make_algorithm
         from repro.core.optimizer_framework import BaguaConfig
+        from repro.training import DistributedTrainer, get_task
 
-        # Default defers to the transport backend's kernel preference.
-        assert BaguaConfig().fast_path is None
-        assert BaguaConfig(fast_path=True).fast_path is True
-        assert BaguaConfig(fast_path=False).fast_path is False
+        # BaguaConfig carries no kernel field: its backend decides.
+        assert not hasattr(BaguaConfig(), "fast_path")
+        task = get_task("VGG16")
+        spec = ClusterSpec(num_nodes=1, workers_per_node=2, inter_node=TCP_25G)
+        for fast, backend in KERNEL_BACKENDS.items():
+            trainer = DistributedTrainer(
+                spec, task.model_factory, task.make_optimizer,
+                make_algorithm("allreduce"), config=BaguaConfig(backend=backend), seed=0,
+            )
+            assert trainer.transport.backend.prefers_fast_path is fast
+            trainer.transport.close()
 
     def test_backend_preference_resolves_default(self):
         loop_group = _group(2, backend="local")
         fast_group = _group(2, backend="batched")
-        assert resolve_fast_path(None, loop_group.transport) is False
-        assert resolve_fast_path(None, fast_group.transport) is True
-        # The context manager overrides the preference, nests, and restores
-        # the backend default on exit...
-        with use_fast_path(True):
-            assert resolve_fast_path(None, loop_group.transport) is True
-            with use_fast_path(False):
-                assert resolve_fast_path(None, fast_group.transport) is False
-            assert resolve_fast_path(None, fast_group.transport) is True
-        assert resolve_fast_path(None, loop_group.transport) is False
-        # ...and an explicit per-call argument overrides everything.
-        assert resolve_fast_path(True, loop_group.transport) is True
-        assert resolve_fast_path(False, fast_group.transport) is False
+        assert loop_group.transport.backend.prefers_fast_path is False
+        assert fast_group.transport.backend.prefers_fast_path is True
+        assert _ships_payloads(loop_group) is True
+        assert _ships_payloads(fast_group) is False
+        # Flipping the preference on a backend instance flips the kernel.
+        fast_group.transport.backend.prefers_fast_path = False
+        assert _ships_payloads(fast_group) is True
 
 
 class TestDeprecatedLoopInternals:
@@ -364,7 +384,7 @@ class TestBucketFlatPool:
         spec = ClusterSpec(num_nodes=1, workers_per_node=2, inter_node=TCP_25G)
         trainer = DistributedTrainer(
             spec, task.model_factory, task.make_optimizer, QSGD(bits=8),
-            config=BaguaConfig(fast_path=True), seed=0,
+            config=BaguaConfig(backend="batched"), seed=0,
         )
         dataset = task.dataset_factory(0)
         loaders = make_sharded_loaders(dataset, 2, 16, seed=0)
@@ -392,7 +412,7 @@ class TestEpochLossParity:
             spec = ClusterSpec(num_nodes=1, workers_per_node=2, inter_node=TCP_25G)
             trainer = DistributedTrainer(
                 spec, task.model_factory, task.make_optimizer, QSGD(bits=8),
-                config=BaguaConfig(fast_path=fast), seed=0,
+                config=BaguaConfig(backend=KERNEL_BACKENDS[fast]), seed=0,
             )
             loaders = make_sharded_loaders(dataset, 2, 16, seed=0)
             record = trainer.train(loaders, task.loss_fn, epochs=1, label="parity")
