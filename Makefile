@@ -10,7 +10,8 @@
 # `make typecheck-strict` is the CI variant that *fails* when mypy is
 # missing instead of skipping.
 # `make perf` benchmarks the world-batched fast path against the loop
-# reference and gates against benchmarks/perf/baseline.json (see
+# reference, plus the shm epoch and pool-reduce microbenches, and gates
+# against benchmarks/perf/baseline.json (see
 # docs/performance.md); `make perf REPRO_BACKEND=shm` runs the suite on a
 # different transport backend (see docs/backends.md).
 

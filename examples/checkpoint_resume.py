@@ -3,7 +3,9 @@
 Shows two production conveniences built on the reproduction:
 
 1. checkpoint the rank-0 replica (model + optimizer) mid-run and resume a
-   *fresh* trainer from it bit-exactly;
+   *fresh* trainer from it.  Only rank 0 is saved, so algorithms with
+   per-rank state (error-feedback residuals, diverging decentralized
+   replicas) do not resume bit-exactly; see ROADMAP item 4;
 2. ask the auto-tuner which algorithm this model should use on the current
    network before resuming.
 

@@ -208,7 +208,7 @@ def main(argv=None) -> int:
         description=(
             "Time the hot collective and compression kernels (loop vs "
             "batched fast path), one functional-mode epoch per world "
-            "size, and the shm round-latency/wire-codec microbenches, "
+            "size, and the shm epoch and pool-reduce microbenches, "
             "write the result JSON (default BENCH.json; CI suffixes it "
             "per backend), and optionally gate against the committed "
             "baseline (fails when a kernel's geomean speedup drops >20% "

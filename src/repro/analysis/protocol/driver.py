@@ -12,8 +12,9 @@ end and aggregates them into a :class:`ProtocolReport`:
    bug must be caught with exactly its root-cause rule;
 3. **live conformance** (optional, default on) — a real
    :class:`~repro.cluster.backends.shm.SharedMemoryBackend` run under the
-   sanitizer: payload rounds, a pool mapping, a pool-ref in-place reduce,
-   per-rank tasks and a graceful close, with the recorded cross-process
+   sanitizer: pool mappings, a pool-ref in-place reduce, per-rank tasks
+   (one of them too large for the ring, so its program takes the pipe) and
+   a graceful close, with the recorded cross-process
    event stream replayed through
    :func:`~.sanitizer.check_events`.  Divergence fails the gate.
 """
@@ -33,25 +34,14 @@ def _sanitized_live_findings(world: int = 2) -> tuple[int, list[Finding]]:
     import numpy as np
 
     from ...cluster.backends.shm import SharedMemoryBackend
-    from ...cluster.transport import Message
     from .sanitizer import check_events
 
-    with SharedMemoryBackend(world_size=world, ring_bytes=1 << 16, sanitize=True) as backend:
+    ring_bytes = 1 << 16
+    with SharedMemoryBackend(world_size=world, ring_bytes=ring_bytes, sanitize=True) as backend:
         pools = [backend.allocate_pool(rank, 16) for rank in range(world)]
         for rank, pool in enumerate(pools):
             pool[:] = np.arange(16, dtype=np.float64) * (rank + 1)
-        for round_index in range(2 if world > 1 else 0):
-            messages = [
-                Message(
-                    src=src,
-                    dst=(src + 1 + round_index % (world - 1)) % world,
-                    payload=np.arange(8, dtype=np.float64) + src,
-                    nbytes=64,
-                    match_id=f"r{round_index}s{src}",
-                )
-                for src in range(world)
-            ]
-            backend.route_round(messages)
+        backend.run_rank_tasks(_pool_sum, {0: (np.zeros(ring_bytes // 8),)})
         refs = backend.resolve_pool_refs(pools, list(range(world)))
         if refs is not None:
             order = tuple(range(world))

@@ -67,7 +67,7 @@ class ExplorationResult:
     def to_dict(self) -> dict:
         return {
             "world": self.workload.world,
-            "rounds": self.workload.rounds,
+            "tasks": self.workload.tasks,
             "reduce": self.workload.reduce,
             "ok": self.ok,
             "states": self.states,

@@ -2,47 +2,48 @@
 
 :class:`~repro.cluster.backends.shm.SharedMemoryBackend` implements a
 hand-rolled multiprocess protocol: seq-stamped ring records, flag-word
-doorbells and acks, a per-batch ring budget with inline fallback,
-pool-segment mapping over control pipes, and multi-stage teardown.  This
-module models that protocol as a small transition system the interleaving
-explorer (:mod:`.explorer`) can check exhaustively:
+doorbells and acks, an oversize fallback over the control pipe, pool-segment
+mapping over control pipes, and multi-stage teardown.  This module models
+that protocol as a small transition system the interleaving explorer
+(:mod:`.explorer`) can check exhaustively:
 
 * **roles** — one *parent* process and one *worker* per rank;
 * **channels** — per worker, a doorbell flag word and an ack flag word, a
-  control doorbell FIFO and ack FIFO (the ``pool``/``close`` pipes), and
-  two ring buffers (``in``/``out``) modelled at the granularity the safety
-  argument needs: byte offsets, 8-byte alignment, wraparound, per-batch
-  budgets, and a seq + destination stamp per record;
+  control doorbell FIFO and ack FIFO (the ``pool``/``close``/oversize
+  ``batch`` pipes), and two ring buffers (``in``/``out``), each a single
+  record slot at a fixed offset carrying a seq + destination stamp;
 * **guarded transitions** — the parent executes a straight-line *program*
-  (staging, flag doorbells, ack-flag barriers, pool mapping, graceful
-  teardown) while each worker runs the reactive doorbell loop
-  (`recv → read → echo → ack`).
+  (one program per worker per backend call, ack-flag barriers, pool
+  mapping, graceful teardown) while each worker runs the reactive doorbell
+  loop (`recv → read → reply → ack`).
 
-The parent *stages* rounds and tasks as one program of ring records sharing
-a batch seq, rings a single seq-stamped *flag word* (a one-slot overwrite
-register, not a FIFO), and the worker executes the entire program before
-setting its own ack flag word; pipes stay reserved for control
-(``pool``/``close``).  The worker checks its flag word before its pipe, as
-the real wait loop does.  A flag word whose seq was never bumped cannot
-wake the worker — the model classifies that quiescent state as a lost
-wakeup — and an ack raised before the staged program finished executing
-violates :data:`RULE_PROGRAM`.
+Rounds never reach the workers (every backend delivers them in-process), so
+the modelled work is what a worker consumes: ``task`` items
+(``run_rank_tasks``) and ``reduce`` items (``pool_ref_reduce``).  Each
+backend call writes one program record per involved worker and rings a
+single seq-stamped *flag word* (a one-slot overwrite register, not a FIFO);
+a program too large for the ring travels over the pipe instead.  The worker
+executes the entire program before setting its own ack flag word, and the
+call barriers on every ack flag before the next call.  The worker checks its
+flag word before its pipe, as the real wait loop does.  A flag word whose
+seq was never bumped cannot wake the worker — the model classifies that
+quiescent state as a lost wakeup — and an ack raised before the program
+finished executing violates :data:`RULE_PROGRAM`.
 
-The pool-ref collectives add a third item kind, ``reduce``: the
-parent ships a tiny descriptor and the worker folds its chunk *in place*
-across every rank's mapped pool segment, then broadcasts by writing the
-peers' segments directly.  Two invariants guard the fast path
-(:data:`RULE_POOLREF`): a descriptor may only dereference pool segments
-the executing worker actually mapped, and the batch ack may not be raised
-until every staged reduce completed its peer-segment writes — the parent
-reads the reduced slices right after the ack barrier.
+A ``reduce`` item is a tiny descriptor: the worker folds its chunk *in
+place* across every rank's mapped pool segment, then broadcasts by writing
+the peers' segments directly.  Two invariants guard it
+(:data:`RULE_POOLREF`): a descriptor may only dereference pool segments the
+executing worker actually mapped, and the ack may not be raised until every
+reduce completed its peer-segment writes — the parent reads the reduced
+slices right after the ack barrier.
 
 Transitions validate the protocol invariants as they fire (seq monotonicity,
-stamp matching, ring-slot overlap, budget handling, segment lifecycle); a
-quiescent state that is not a clean termination is classified as deadlock,
-lost wakeup, orphaned worker, missed barrier, or leaked segment.  Violations
-surface as :class:`~repro.analysis.report.Finding` objects whose witness is
-the interleaving trace, in the happens-before witness style.
+stamp matching, ring-slot reuse, the oversize fallback, segment lifecycle);
+a quiescent state that is not a clean termination is classified as
+deadlock, lost wakeup, orphaned worker, missed barrier, or leaked segment.
+Violations surface as :class:`~repro.analysis.report.Finding` objects whose
+witness is the interleaving trace, in the happens-before witness style.
 
 :class:`Faults` injects the protocol bugs the mutation harness
 (:mod:`.mutations`) seeds — each knob corresponds to a one-line bug a real
@@ -58,13 +59,13 @@ from ..report import Finding
 #: Ring-record seq stamp size, mirroring ``shm._SEQ.size``.
 STAMP_BYTES = 8
 
-#: Destination stamp meaning "the parent" (echo records travel worker→parent).
+#: Destination stamp meaning "the parent" (reply records travel worker→parent).
 PARENT = -1
 
 # Worker reactive phases.
 _RECV = "recv"
 _READ = "read"
-_ECHO = "echo"
+_REPLY = "reply"
 _ACK = "ack"
 
 #: Protocol rule identifiers (one per invariant class).
@@ -124,32 +125,31 @@ class Faults:
     #: (rank, seq) pairs whose worker ack (batch ack flag or pool/close
     #: pipe ack) is silently dropped.
     drop_ack: tuple[tuple[int, int], ...] = ()
-    #: (rank, batch) pairs whose staged ring records are stamped with the
+    #: (rank, batch) pairs whose program record is stamped with the
     #: previous seq while the flag word carries the right one.
     stale_seq: tuple[tuple[int, int], ...] = ()
     #: ranks whose segments the parent unlinks *before* join (early unlink).
     early_unlink: tuple[int, ...] = ()
     #: batch indices whose ack-flag barrier the parent skips entirely.
     skip_barrier: tuple[int, ...] = ()
-    #: force ring placement even when the per-batch budget refuses (the
-    #: inline-overflow fallback is "forgotten").
+    #: force ring placement of a record larger than the ring (the pipe
+    #: fallback is "forgotten").
     force_place: bool = False
     #: ranks that receive a second close doorbell (double close).
     double_close: tuple[int, ...] = ()
-    #: (rank, batch) pairs whose staged records are stamped for the wrong rank.
+    #: (rank, batch) pairs whose program record is stamped for the wrong rank.
     wrong_dst: tuple[tuple[int, int], ...] = ()
     #: ranks the parent abandons: no close, no join, no unlink (orphan).
     orphan: tuple[int, ...] = ()
     #: ranks whose segments are never unlinked (leak).
     skip_unlink: tuple[int, ...] = ()
-    #: round batches staged before the previous batch's ack flag was
-    #: observed (pipelined batches; drives write-before-read-complete ring
-    #: overlap).
-    pipeline_rounds: bool = False
-    #: ranks that get one extra round staged and flagged *after* their close
+    #: task calls posted before the previous call's ack flags were observed
+    #: (pipelined calls; drives write-before-read-complete ring overlap).
+    pipeline_calls: bool = False
+    #: ranks that get one extra task program flagged *after* their close
     #: doorbell (use-after-close: the wakeup is lost behind the shutdown).
     post_after_close: tuple[int, ...] = ()
-    #: ranks whose workers ack a batch flag word before executing the staged
+    #: ranks whose workers ack a batch flag word before executing the
     #: program (ack-before-program-end).
     ack_early: tuple[int, ...] = ()
     #: (rank, batch) pairs whose doorbell flag word reuses the previous batch
@@ -160,7 +160,7 @@ class Faults:
     #: worker never maps owner's pool segment, so any reduce descriptor that
     #: targets it resolves against an unmapped segment.
     poolref_unmapped: tuple[tuple[int, int], ...] = ()
-    #: ranks whose workers ack a reduce-carrying batch before completing the
+    #: ranks whose workers ack a reduce-carrying program before completing the
     #: in-place peer-segment writes (reduce result published before the
     #: broadcast-by-write phase ran).
     skip_reduce_write: tuple[int, ...] = ()
@@ -168,140 +168,107 @@ class Faults:
 
 @dataclass
 class _Record:
-    """One live ring record: [off, off+nbytes) stamped (seq, dst)."""
+    """The live ring record: ``nbytes`` stamped (seq, dst)."""
 
-    off: int
     nbytes: int  # stamp + payload, the footprint in the ring
     seq: int
     dst: int
     read: bool = False
 
-    def key(self) -> tuple[int, int, int, int, bool]:
-        return (self.off, self.nbytes, self.seq, self.dst, self.read)
+    def key(self) -> tuple[int, int, int, bool]:
+        return (self.nbytes, self.seq, self.dst, self.read)
 
 
 @dataclass
 class _Ring:
-    """One shared-memory ring: mirrors ``shm._RingWriter`` placement."""
+    """One shared-memory ring: a single record slot at a fixed offset.
+
+    Mirrors ``shm._write_record``: every call awaits its acks before the
+    next one writes, so a ring never needs more than one live record.
+    """
 
     capacity: int
-    records: list[_Record] = field(default_factory=list)
-    next_off: int = 0
-    used: int = 0  # budget consumed since begin_round
+    record: _Record | None = None
 
     def clone(self) -> _Ring:
-        return _Ring(
-            self.capacity,
-            [replace(r) for r in self.records],
-            self.next_off,
-            self.used,
-        )
+        return _Ring(self.capacity, replace(self.record) if self.record else None)
 
-    def key(self) -> tuple:
-        return (self.next_off, self.used, tuple(r.key() for r in self.records))
-
-    def begin_round(self) -> None:
-        self.used = 0
-
-    def place(self, payload_bytes: int) -> tuple[int, int] | None:
-        """Compute the next record placement; ``None`` means over budget."""
-        total = STAMP_BYTES + payload_bytes
-        off = (self.next_off + 7) & ~7
-        waste = off - self.next_off
-        if off + total > self.capacity:
-            waste += self.capacity - off
-            off = 0
-        if total > self.capacity or self.used + waste + total > self.capacity:
-            return None
-        return off, waste
+    def key(self) -> tuple | None:
+        return self.record.key() if self.record else None
 
     def write(
         self, seq: int, dst: int, payload_bytes: int, *, force: bool, writer_rank: int | None
-    ) -> tuple[int, int] | None:
-        """Write one record; returns (offset, nbytes) or ``None`` for inline.
+    ) -> bool:
+        """Write the record; ``False`` means it must travel over the pipe.
 
-        ``force=True`` models the budget-overflow bug: the record is rammed
-        into the ring even though placement refused.
+        ``force=True`` models the oversize bug: the record is rammed into
+        the ring even though it does not fit.
         """
-        placed = self.place(payload_bytes)
         total = STAMP_BYTES + payload_bytes
-        if placed is None:
+        if total > self.capacity:
             if not force:
-                return None  # the correct inline-pipe fallback
+                return False  # the correct pipe fallback
             raise Violation(
                 _finding(
                     RULE_BUDGET,
-                    f"record of {total} bytes exceeds the ring's per-batch budget "
-                    f"({self.capacity} bytes) but was placed in the ring instead of "
-                    "falling back to the inline pipe",
+                    f"record of {total} bytes exceeds the ring's {self.capacity}-byte "
+                    "capacity but was placed in the ring instead of falling back to "
+                    "the pipe",
                     rank=writer_rank,
                     seq=seq,
                 )
             )
-        off, waste = placed
-        lo, hi = off, off + total
-        for record in self.records:
-            if not record.read and record.off < hi and lo < record.off + record.nbytes:
-                raise Violation(
-                    _finding(
-                        RULE_RING_OVERLAP,
-                        f"ring write [{lo}, {hi}) for seq {seq} overlaps the live "
-                        f"unread record at offset {record.off} (seq {record.seq}): "
-                        "write-before-read-complete",
-                        rank=writer_rank,
-                        seq=seq,
-                    )
+        if self.record is not None and not self.record.read:
+            raise Violation(
+                _finding(
+                    RULE_RING_OVERLAP,
+                    f"ring write for seq {seq} overwrites the live unread record of "
+                    f"seq {self.record.seq}: write-before-read-complete",
+                    rank=writer_rank,
+                    seq=seq,
                 )
-        # Reclaim fully-read records the new write covers.
-        self.records = [
-            r for r in self.records if not (r.read and r.off < hi and lo < r.off + r.nbytes)
-        ]
-        self.records.append(_Record(off=off, nbytes=total, seq=seq, dst=dst))
-        self.next_off = off + total
-        self.used += waste + total
-        return off, total
-
-    def read(self, off: int, expected_seq: int, expected_dst: int, reader: int | None) -> None:
-        """Validate and consume the record at ``off`` (stamp + dst checks)."""
-        for record in self.records:
-            if record.off == off and not record.read:
-                if record.seq != expected_seq:
-                    raise Violation(
-                        _finding(
-                            RULE_SEQ,
-                            f"ring record at offset {off} is stamped seq {record.seq}, "
-                            f"expected {expected_seq}: stale or regressed sequence",
-                            rank=reader,
-                            seq=expected_seq,
-                        )
-                    )
-                if record.dst != expected_dst:
-                    raise Violation(
-                        _finding(
-                            RULE_DELIVERY,
-                            f"ring record at offset {off} (seq {record.seq}) is stamped "
-                            f"for rank {record.dst} but was delivered to rank "
-                            f"{expected_dst}: wrong-rank delivery",
-                            rank=reader,
-                            seq=expected_seq,
-                        )
-                    )
-                record.read = True
-                return
-        raise Violation(
-            _finding(
-                RULE_SEQ,
-                f"no live record at ring offset {off} for seq {expected_seq}: "
-                "the read raced the write or consumed a stale entry",
-                rank=reader,
-                seq=expected_seq,
             )
-        )
+        self.record = _Record(nbytes=total, seq=seq, dst=dst)
+        return True
+
+    def read(self, expected_seq: int, expected_dst: int, reader: int | None) -> None:
+        """Validate and consume the live record (stamp + dst checks)."""
+        record = self.record
+        if record is None or record.read:
+            raise Violation(
+                _finding(
+                    RULE_SEQ,
+                    f"no live ring record for seq {expected_seq}: the read raced "
+                    "the write or consumed a stale entry",
+                    rank=reader,
+                    seq=expected_seq,
+                )
+            )
+        if record.seq != expected_seq:
+            raise Violation(
+                _finding(
+                    RULE_SEQ,
+                    f"ring record is stamped seq {record.seq}, expected "
+                    f"{expected_seq}: stale or regressed sequence",
+                    rank=reader,
+                    seq=expected_seq,
+                )
+            )
+        if record.dst != expected_dst:
+            raise Violation(
+                _finding(
+                    RULE_DELIVERY,
+                    f"ring record (seq {record.seq}) is stamped for rank {record.dst} "
+                    f"but was delivered to rank {expected_dst}: wrong-rank delivery",
+                    rank=reader,
+                    seq=expected_seq,
+                )
+            )
+        record.read = True
 
 
-#: A doorbell-entry describing where one record travels:
-#: ("ring", offset) or ("inline", payload_bytes).
-_EntryT = tuple[str, int]
+#: One program item: (kind, payload bytes, pool owners it dereferences).
+_Item = tuple[str, int, tuple[int, ...]]
 
 
 @dataclass
@@ -315,12 +282,15 @@ class _Worker:
     cur_op: str = ""
     cur_seq: int = -1
     cur_data: tuple = ()
-    echo_entries: tuple[_EntryT, ...] = ()
+    #: whether the current program arrived over the pipe (oversize fallback)
+    via_pipe: bool = False
+    #: whether the reply record went into the outbound ring
+    reply_in_ring: bool = False
     #: pool segment ids this worker has attached (cross-rank: every owner's
     #: pool maps into every worker, the reduce executors' address space).
     pool_segs: tuple[int, ...] = ()
-    #: batch items actually executed before the ack flag was set (the
-    #: faithful worker always executes the whole staged program).
+    #: program items actually executed before the ack flag was set (the
+    #: faithful worker always executes the whole program).
     executed: int = 0
     #: reduce items whose in-place peer-segment writes completed before the
     #: ack flag was set (the faithful worker completes all of them).
@@ -338,7 +308,8 @@ class _Worker:
             self.cur_op,
             self.cur_seq,
             self.cur_data,
-            self.echo_entries,
+            self.via_pipe,
+            self.reply_in_ring,
             self.pool_segs,
             self.executed,
             self.reduced,
@@ -362,10 +333,9 @@ class _Segment:
 
 
 # Parent program instructions (straight-line; guards block, never branch):
-#   ("stage", dst, kind, sizes, batch_index, needs)  kind in {"round",
-#       "task", "reduce"}; ``needs`` (reduce only) lists the pool-owner
-#       ranks the staged descriptors dereference
-#   ("flag", dst, batch_index)
+#   ("flag", dst, batch_index, items)  write one program of ``items`` (see
+#       ``_Item``) into dst's ring and ring its flag word, or send it over
+#       the pipe when it does not fit
 #   ("flagwait", dst)
 #   ("await", dst)         barrier on a pool pipe ack
 #   ("pool", dst, owner)   map owner's pool segment into dst's worker
@@ -394,11 +364,9 @@ class ModelState:
     #: per destination, the seq-stamped doorbell flag word — a single-slot
     #: OVERWRITE register (the shared-memory u64), not a FIFO: (seq, items)
     door_flag: dict[int, tuple | None] = field(default_factory=dict)
-    #: per destination, the ack flag word: (seq, executed, echo_entries,
+    #: per destination, the ack flag word: (seq, executed, reply_in_ring,
     #: reduced)
     ack_flag: dict[int, tuple | None] = field(default_factory=dict)
-    #: per destination, the staged-but-not-yet-flagged batch: (seq, items)
-    open_batch: dict[int, tuple[int, tuple]] = field(default_factory=dict)
     #: per destination, how many items the last flagged program contained
     flagged: dict[int, int] = field(default_factory=dict)
     #: per destination, how many of those items were reduces
@@ -426,7 +394,6 @@ class ModelState:
             ack={k: list(v) for k, v in self.ack.items()},
             door_flag=dict(self.door_flag),
             ack_flag=dict(self.ack_flag),
-            open_batch=dict(self.open_batch),
             flagged=dict(self.flagged),
             flagged_reduces=dict(self.flagged_reduces),
             pool_seg_ids=dict(self.pool_seg_ids),
@@ -446,7 +413,6 @@ class ModelState:
             tuple((k, tuple(v)) for k, v in sorted(self.ack.items())),
             tuple(sorted(self.door_flag.items())),
             tuple(sorted(self.ack_flag.items())),
-            tuple(sorted(self.open_batch.items())),
             tuple(sorted(self.flagged.items())),
             tuple(sorted(self.flagged_reduces.items())),
             tuple(sorted(self.pool_seg_ids.items())),
@@ -505,10 +471,8 @@ class ModelState:
             op = instr[0]
             if op == "await":
                 return frozenset({("ack", instr[1])})
-            if op == "stage":
-                return frozenset({("inring", instr[1])})
             if op == "flag":
-                return frozenset({("door", instr[1])})
+                return frozenset({("door", instr[1]), ("inring", instr[1])})
             if op == "flagwait":
                 return frozenset({("ack", instr[1]), ("outring", instr[1])})
             if op == "pool":
@@ -526,7 +490,7 @@ class ModelState:
             return frozenset({("door", rank), ("life", rank)})
         if worker.phase == _READ:
             return frozenset({("inring", rank)})
-        if worker.phase == _ECHO:
+        if worker.phase == _REPLY:
             return frozenset({("outring", rank)})
         # ack / pool-attach / close-finish: touches the ack pipe, possibly
         # segments and liveness.  A pool attach touches the *owner's*
@@ -600,7 +564,7 @@ class ModelState:
                     _finding(
                         RULE_SEQ,
                         f"parent received ack seq {seq} from worker {dst} with no "
-                        "outstanding round: duplicated or unsolicited ack",
+                        "outstanding doorbell: duplicated or unsolicited ack",
                         rank=dst,
                         seq=seq,
                     )
@@ -617,59 +581,47 @@ class ModelState:
                     )
                 )
             return f"parent barriers on worker {dst} ack seq {seq} ({kind})"
-        if op == "stage":
-            _, dst, kind, sizes, batch_index, needs = instr
-            # No liveness check here: staging only writes the ring, and the
-            # real backend stages for a worker that is mid-exit without
-            # error.  A flag the worker never observes surfaces at
-            # quiescence as a lost wakeup, the classification that names
-            # the root cause.
-            opened = self.open_batch.get(dst)
-            if opened is None:
-                # Opening a batch takes one seq for the whole program and
-                # resets the ring budget once (shm._batch / begin_round).
-                seq = self._take_seq(dst)
-                self.in_ring[dst].begin_round()
-                items: tuple = ()
-            else:
-                seq, items = opened
+        if op == "flag":
+            _, dst, batch_index, items = instr
+            # No liveness check here: the real backend writes the ring and
+            # rings the flag of a worker that is mid-exit without error.  A
+            # flag the worker never observes surfaces at quiescence as a
+            # lost wakeup, the classification that names the root cause.
+            seq = self._take_seq(dst)
             stamp_seq = seq
             if (dst, batch_index) in self.faults.stale_seq:
-                stamp_seq = max(0, seq - 1)  # the previous batch's seq: stale
+                stamp_seq = max(0, seq - 1)  # the previous program's seq: stale
             stamp_dst = dst
             if (dst, batch_index) in self.faults.wrong_dst:
                 stamp_dst = (dst + 1) % self.world
-            ring = self.in_ring[dst]
-            entries: list[_EntryT] = []
-            for nbytes in sizes:
-                placed = ring.write(
-                    stamp_seq, stamp_dst, nbytes, force=self.faults.force_place,
-                    writer_rank=dst,
-                )
-                entries.append(("inline", nbytes) if placed is None else ("ring", placed[0]))
-            self.open_batch[dst] = (seq, items + ((kind, tuple(entries), needs),))
-            return (
-                f"parent stages {kind} seq {seq} into worker {dst}'s batch "
-                f"({len(sizes)} record(s))"
+            placed = self.in_ring[dst].write(
+                stamp_seq,
+                stamp_dst,
+                sum(item[1] for item in items),
+                force=self.faults.force_place,
+                writer_rank=dst,
             )
-        if op == "flag":
-            _, dst, batch_index = instr
-            seq, items = self.open_batch.pop(dst)
+            self.outstanding[dst].append((seq, "batch"))
+            self.flagged[dst] = len(items)
+            self.flagged_reduces[dst] = sum(1 for item in items if item[0] == "reduce")
+            if not placed:
+                self.door[dst].append(("batch", seq, items))
+                return (
+                    f"parent sends worker {dst}'s program seq {seq} over the pipe "
+                    f"({len(items)} item(s), too large for the ring)"
+                )
             flag_seq = seq
             if (dst, batch_index) in self.faults.stale_flag:
                 flag_seq = max(0, seq - 1)  # the flag word was never bumped
             self.door_flag[dst] = (flag_seq, items)
-            self.outstanding[dst].append((seq, "batch"))
-            self.flagged[dst] = len(items)
-            self.flagged_reduces[dst] = sum(1 for item in items if item[0] == "reduce")
             stale = " with a stale seq" if flag_seq != seq else ""
             return (
-                f"parent rings worker {dst}'s doorbell flag word for batch "
-                f"seq {seq}{stale} ({len(items)} item(s))"
+                f"parent writes worker {dst}'s program seq {seq} and rings its "
+                f"doorbell flag word{stale} ({len(items)} item(s))"
             )
         if op == "flagwait":
             dst = instr[1]
-            seq, executed, entries, reduced = self.ack_flag[dst]
+            seq, executed, reply_in_ring, reduced = self.ack_flag[dst]
             self.ack_flag[dst] = None
             if not self.outstanding[dst]:
                 raise Violation(
@@ -698,7 +650,7 @@ class ModelState:
                     _finding(
                         RULE_PROGRAM,
                         f"worker {dst} set its ack flag for batch seq {seq} after "
-                        f"executing {executed} of {want} staged program item(s): "
+                        f"executing {executed} of {want} program item(s): "
                         "ack-before-program-end",
                         rank=dst,
                         seq=seq,
@@ -717,10 +669,8 @@ class ModelState:
                         seq=seq,
                     )
                 )
-            out = self.out_ring[dst]
-            for entry in entries:
-                if entry[0] == "ring":
-                    out.read(entry[1], seq, PARENT, reader=dst)
+            if reply_in_ring:
+                self.out_ring[dst].read(seq, PARENT, reader=dst)
             return f"parent observes worker {dst}'s ack flag for batch seq {seq}"
         if op == "pool":
             _, dst, owner = instr
@@ -785,10 +735,11 @@ class ModelState:
             worker.expected += 1
             worker.cur_op, worker.cur_seq = "batch", seq
             worker.cur_data = items
+            worker.via_pipe = False
             if rank in self.faults.ack_early:
                 worker.executed = 0
                 worker.reduced = 0
-                worker.echo_entries = ()
+                worker.reply_in_ring = False
                 worker.phase = _ACK
                 return (
                     f"worker {rank} consumes flag-word seq {seq} but jumps straight "
@@ -814,57 +765,53 @@ class ModelState:
                 )
             worker.expected += 1
             worker.cur_op, worker.cur_seq = op, seq
-            worker.cur_data = (data,)
-            worker.phase = _ACK
+            if op == "batch":
+                # Oversize fallback: the program itself travelled by pipe.
+                worker.cur_data = data
+                worker.via_pipe = True
+                worker.phase = _READ
+            else:
+                worker.cur_data = (data,)
+                worker.phase = _ACK
             return f"worker {rank} receives {op} doorbell seq {seq}"
         if worker.phase == _READ:
-            ring = self.in_ring[rank]
-            done: list[tuple[str, tuple[int, ...]]] = []
-            for kind, item_entries, needs in worker.cur_data:
+            if not worker.via_pipe:
+                self.in_ring[rank].read(worker.cur_seq, rank, reader=rank)
+            for kind, _nbytes, needs in worker.cur_data:
                 if kind == "reduce":
                     self._check_pool_refs(rank, worker, needs, worker.cur_seq)
-                sizes = []
-                for entry in item_entries:
-                    if entry[0] == "ring":
-                        ring.read(entry[1], worker.cur_seq, rank, reader=rank)
-                        record = next(r for r in ring.records if r.off == entry[1])
-                        sizes.append(record.nbytes - STAMP_BYTES)
-                    else:
-                        sizes.append(entry[1])
-                done.append((kind, tuple(sizes)))
-            worker.cur_data = tuple(done)
-            worker.phase = _ECHO
+            worker.phase = _REPLY
+            source = "the pipe" if worker.via_pipe else "its inbound ring"
             return (
-                f"worker {rank} reads its staged program for batch seq "
-                f"{worker.cur_seq} ({len(done)} item(s)) from its inbound ring"
+                f"worker {rank} reads and executes its program for batch seq "
+                f"{worker.cur_seq} ({len(worker.cur_data)} item(s)) from {source}"
             )
-        if worker.phase == _ECHO:
-            out = self.out_ring[rank]
-            out.begin_round()
-            flat: list[_EntryT] = []
-            for _kind, sizes in worker.cur_data:
-                for nbytes in sizes:
-                    placed = out.write(
-                        worker.cur_seq, PARENT, nbytes, force=False, writer_rank=rank
-                    )
-                    flat.append(("inline", nbytes) if placed is None else ("ring", placed[0]))
-            worker.echo_entries = tuple(flat)
+        if worker.phase == _REPLY:
+            worker.reply_in_ring = not worker.via_pipe and self.out_ring[rank].write(
+                worker.cur_seq,
+                PARENT,
+                sum(item[1] for item in worker.cur_data),
+                force=False,
+                writer_rank=rank,
+            )
             worker.executed = len(worker.cur_data)
-            n_reduces = sum(1 for kind, _ in worker.cur_data if kind == "reduce")
+            n_reduces = sum(1 for item in worker.cur_data if item[0] == "reduce")
             skipped = rank in self.faults.skip_reduce_write and n_reduces > 0
             worker.reduced = 0 if skipped else n_reduces
             worker.phase = _ACK
             note = " (seeded: peer-segment writes skipped)" if skipped else ""
+            where = "its outbound ring" if worker.reply_in_ring else "the pipe"
             return (
-                f"worker {rank} echoes batch seq {worker.cur_seq} "
-                f"({worker.executed} item(s)) into its outbound ring{note}"
+                f"worker {rank} replies to batch seq {worker.cur_seq} "
+                f"({worker.executed} item(s)) through {where}{note}"
             )
         if worker.phase == _ACK and worker.cur_op == "batch":
             seq, executed = worker.cur_seq, worker.executed
             dropped = (rank, seq) in self.faults.drop_ack
             if not dropped:
-                self.ack_flag[rank] = (seq, executed, worker.echo_entries, worker.reduced)
-            worker.echo_entries = ()
+                self.ack_flag[rank] = (seq, executed, worker.reply_in_ring, worker.reduced)
+            worker.reply_in_ring = False
+            worker.via_pipe = False
             worker.cur_data = ()
             worker.executed = 0
             worker.reduced = 0
@@ -1047,30 +994,26 @@ class ModelState:
 class Workload:
     """Shape of the protocol run the model executes.
 
-    ``record_sizes[r]`` is the per-destination list of payload sizes for
-    round ``r`` (every rank participates in every round, matching
-    ``Transport.exchange``'s all-rank barrier).  ``oversize`` appends one
-    record larger than the ring to exercise the inline-overflow fallback.
+    ``tasks`` synchronous ``run_rank_tasks`` calls come first: each writes
+    one program per rank and barriers on every ack flag before the next
+    call.  ``oversize`` adds one more task call whose program is larger
+    than the ring, exercising the pipe fallback.  Then every rank's pool is
+    mapped into every worker over the pipe (``pool``), as
+    ``shm._map_pool`` does.
 
-    Rounds are staged into per-destination programs of ``rounds_per_batch``
-    rounds each (``0`` = the whole workload in one batch), flagged once,
-    and barriered on the ack flag word; ``pool``/``close`` stay on the
-    pipe, as in the real backend.
-
-    ``reduce`` appends one pool-ref reduce per rank after the pool mapping
+    ``reduce`` appends one ``pool_ref_reduce`` call after the pool mapping
     (implying ``pool``): each worker folds its chunk in place across every
     owner's mapped segment, exercising the descriptor-resolution and
     peer-write-before-ack invariants (:data:`RULE_POOLREF`).
     """
 
     world: int = 2
-    rounds: int = 2
-    record_sizes: tuple[int, ...] = (64, 24)
+    tasks: int = 2
+    #: pickled size of one program item, and of its reply
+    item_bytes: int = 64
     ring_bytes: int = 256
     pool: bool = True
-    task: bool = True
     oversize: bool = False
-    rounds_per_batch: int = 0
     reduce: bool = False
 
 
@@ -1080,46 +1023,29 @@ def build_model(workload: Workload, faults: Faults | None = None) -> ModelState:
     world = workload.world
     ranks = range(world)
     program: list[_Instr] = []
-    sizes = list(workload.record_sizes)
-    if workload.oversize:
-        sizes = sizes + [workload.ring_bytes + 32]
     batch_index = 0
+    task: _Item = ("task", workload.item_bytes, ())
 
     def flagwait_all() -> None:
         program.extend(("flagwait", dst) for dst in ranks)
 
-    def stage(kind: str, item_sizes: tuple[int, ...], count: int, needs: tuple = ()) -> None:
-        for dst in ranks:
-            for _ in range(count):
-                program.append(("stage", dst, kind, item_sizes, batch_index, needs))
-
-    def flag(barrier: bool = True) -> None:
+    def call(item: _Item, barrier: bool = True) -> None:
+        """One backend call: a program per rank, then (usually) the barriers."""
         nonlocal batch_index
-        program.extend(("flag", dst, batch_index) for dst in ranks)
+        program.extend(("flag", dst, batch_index, (item,)) for dst in ranks)
         if barrier and batch_index not in faults.skip_barrier:
             flagwait_all()
         batch_index += 1
 
-    # Round batches, then the pool mappings (serial post + ack per worker,
-    # mirroring shm._map_pool), then a reduce batch and a task batch, each
-    # matching the real backend's stage-then-flush.
-    per = workload.rounds_per_batch or max(workload.rounds, 1)
-    owed = False
-    r = 0
-    while r < workload.rounds:
-        chunk = min(per, workload.rounds - r)
-        stage("round", tuple(sizes), chunk)
-        if owed:
-            # Pipelined: this batch was staged before the previous one's
-            # ack flag was observed; that barrier lands only now.
+    for index in range(workload.tasks):
+        # Pipelined: the next call posts before this one's ack flags are
+        # observed; its barrier lands only after that next post.
+        owed = faults.pipeline_calls and index + 1 < workload.tasks
+        call(task, barrier=not owed)
+        if index > 0 and faults.pipeline_calls:
             flagwait_all()
-        r += chunk
-        owed = (
-            faults.pipeline_rounds
-            and r < workload.rounds
-            and batch_index not in faults.skip_barrier
-        )
-        flag(barrier=not owed)
+    if workload.oversize:
+        call(("task", workload.ring_bytes, ()))
     if workload.pool or workload.reduce:
         for owner in ranks:
             for dst in ranks:
@@ -1128,11 +1054,7 @@ def build_model(workload: Workload, faults: Faults | None = None) -> ModelState:
                 program.append(("pool", dst, owner))
                 program.append(("await", dst))
     if workload.reduce:
-        stage("reduce", (32,), 1, tuple(ranks))
-        flag()
-    if workload.task:
-        stage("task", (32,), 1)
-        flag()
+        call(("reduce", workload.item_bytes, tuple(ranks)))
     for rank in range(world):
         if rank in faults.orphan:
             continue
@@ -1140,8 +1062,7 @@ def build_model(workload: Workload, faults: Faults | None = None) -> ModelState:
         if rank in faults.double_close:
             program.append(("close", rank))
         if rank in faults.post_after_close:
-            program.append(("stage", rank, "round", tuple(sizes), -1, ()))
-            program.append(("flag", rank, -1))
+            program.append(("flag", rank, -1, (task,)))
     for rank in range(world):
         if rank in faults.orphan:
             continue

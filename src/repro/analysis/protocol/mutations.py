@@ -39,31 +39,18 @@ from .model import (
     Workload,
 )
 
-#: The small-but-complete default workload: two ranks, two rounds staged
-#: as one batch, a pool mapping and a task batch — every protocol phase is
-#: exercised.  Batch 0 holds the rounds, batch 1 the tasks.
+#: The small-but-complete default workload: two ranks, two task calls (one
+#: program per rank each), then the pool mappings — every protocol phase is
+#: exercised.  Batch 0 and batch 1 are the two task calls.
 DEFAULT_WORKLOAD = Workload()
 
-#: One round batch and nothing after it but teardown: the minimal shape
-#: where a skipped ack-flag barrier is still outstanding at exit.
-_ROUNDS_WORKLOAD = Workload(pool=False, task=False)
+#: One task call and nothing after it but teardown: the minimal shape where
+#: a skipped ack-flag barrier is still outstanding at exit.
+_ONE_CALL_WORKLOAD = Workload(tasks=1, pool=False)
 
-#: Two single-round batches whose records wrap a 192-byte ring: the minimal
-#: shape where staging batch 1 before batch 0's ack lets a write land on an
-#: unread slot.
-_WRAP_WORKLOAD = Workload(
-    world=1,
-    rounds=2,
-    record_sizes=(64, 24),
-    ring_bytes=192,
-    pool=False,
-    task=False,
-    rounds_per_batch=1,
-)
-
-#: Two single-round batches, rounds only — the minimal shape where batch
-#: 1's flag word can be rung without bumping its seq past batch 0's.
-_STALE_FLAG_WORKLOAD = Workload(rounds_per_batch=1, pool=False, task=False)
+#: Two task calls on one rank, nothing else: the minimal shape where
+#: posting call 1 before call 0's ack lets a write land on an unread record.
+_TWO_CALL_WORKLOAD = Workload(world=1, pool=False)
 
 #: Every rank maps every pool, then executes one in-place reduce chunk.
 _REDUCE_WORKLOAD = Workload(world=2, reduce=True)
@@ -84,7 +71,7 @@ class Mutation:
 #: seq stamp, early unlink, skipped barrier, oversized record, double
 #: close, wrong-rank delivery, orphaned worker, leaked segment, work behind
 #: a close, pipelined ring overlap), two flag-word bugs (an ack set before
-#: the staged program ran, a flag word rung without bumping its seq), and
+#: the program ran, a flag word rung without bumping its seq), and
 #: two pool-ref bugs (a reduce descriptor targeting a segment its executor
 #: never mapped, a batch ack raised before the reduce's peer-segment writes
 #: completed).
@@ -93,15 +80,15 @@ MUTATIONS: tuple[Mutation, ...] = (
         name="dropped-ack",
         faults=Faults(drop_ack=((0, 0),)),
         expected_rule=RULE_DEADLOCK,
-        description="worker 0 silently drops the ack flag for its round batch; "
-        "the parent's barrier waits forever",
+        description="worker 0 silently drops the ack flag for its first task "
+        "program; the parent's barrier waits forever",
     ),
     Mutation(
         name="stale-seq",
         faults=Faults(stale_seq=((0, 1),)),
         expected_rule=RULE_SEQ,
-        description="batch 1's records for rank 0 are stamped with the previous "
-        "sequence number while its flag word carries the right one",
+        description="batch 1's program record for rank 0 is stamped with the "
+        "previous sequence number while its flag word carries the right one",
     ),
     Mutation(
         name="early-unlink",
@@ -114,7 +101,7 @@ MUTATIONS: tuple[Mutation, ...] = (
         name="skipped-barrier",
         faults=Faults(skip_barrier=(0,)),
         expected_rule=RULE_BARRIER,
-        workload=_ROUNDS_WORKLOAD,
+        workload=_ONE_CALL_WORKLOAD,
         description="the parent never waits on batch 0's ack flags",
     ),
     Mutation(
@@ -122,8 +109,8 @@ MUTATIONS: tuple[Mutation, ...] = (
         faults=Faults(force_place=True),
         expected_rule=RULE_BUDGET,
         workload=Workload(oversize=True),
-        description="a record larger than the ring is force-placed instead of "
-        "falling back inline",
+        description="a program larger than the ring is force-placed instead of "
+        "falling back to the pipe",
     ),
     Mutation(
         name="double-close",
@@ -135,7 +122,7 @@ MUTATIONS: tuple[Mutation, ...] = (
         name="wrong-rank-delivery",
         faults=Faults(wrong_dst=((1, 0),)),
         expected_rule=RULE_DELIVERY,
-        description="batch 0's records for rank 1 are stamped for another rank",
+        description="batch 0's program record for rank 1 is stamped for another rank",
     ),
     Mutation(
         name="orphaned-worker",
@@ -153,29 +140,28 @@ MUTATIONS: tuple[Mutation, ...] = (
         name="post-after-close",
         faults=Faults(post_after_close=(0,)),
         expected_rule=RULE_LOST_WAKEUP,
-        description="a round batch is staged and flagged for rank 0 behind its "
-        "close: the wakeup is lost in the shutdown",
+        description="a task program is written and flagged for rank 0 behind "
+        "its close: the wakeup is lost in the shutdown",
     ),
     Mutation(
         name="pipelined-ring-overlap",
-        faults=Faults(pipeline_rounds=True),
+        faults=Faults(pipeline_calls=True),
         expected_rule=RULE_RING_OVERLAP,
-        workload=_WRAP_WORKLOAD,
-        description="batch 1 is staged before batch 0's ack flag is observed, "
-        "so a wrapped write lands on a slot the worker has not read yet",
+        workload=_TWO_CALL_WORKLOAD,
+        description="call 1 posts its program before call 0's ack flag is "
+        "observed, so a ring write lands on a record not yet read",
     ),
     Mutation(
         name="ack-before-program-end",
         faults=Faults(ack_early=(0,)),
         expected_rule=RULE_PROGRAM,
         description="worker 0 sets its batch ack flag before executing the "
-        "staged program: the parent would read echoes that were never written",
+        "program: the parent would read results that were never computed",
     ),
     Mutation(
         name="stale-flag-seq",
         faults=Faults(stale_flag=((0, 1),)),
         expected_rule=RULE_LOST_WAKEUP,
-        workload=_STALE_FLAG_WORKLOAD,
         description="batch 1's doorbell flag word for rank 0 reuses batch 0's "
         "seq, so the spinning worker never observes the new program",
     ),
@@ -185,7 +171,7 @@ MUTATIONS: tuple[Mutation, ...] = (
         expected_rule=RULE_POOLREF,
         workload=_REDUCE_WORKLOAD,
         description="rank 1's pool segment is never mapped into worker 0, so "
-        "worker 0's staged reduce dereferences an unmapped descriptor",
+        "worker 0's reduce dereferences an unmapped descriptor",
     ),
     Mutation(
         name="reduce-before-peer-write",

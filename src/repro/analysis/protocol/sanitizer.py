@@ -21,13 +21,13 @@ assign every event a clock and then check the happens-before rules —
 ``unlink`` after the worker's ``exit``, no doorbell posted to an exited
 worker — exactly as the model checker does, but against a real execution.
 
-Batched-mode streams add two shapes on top: ``stage`` events record
-rounds/tasks the parent appended to a not-yet-flushed per-worker program,
-and a ``post`` with op ``batch`` is the program's single (flag-word)
-doorbell — it participates in the same post → recv → ack exchange, with
+Programs add two shapes on top: ``stage`` events record the task/reduce
+items of a per-worker program, and a ``post`` with op ``batch`` is the
+program's single doorbell (a flag word, or the pipe for an oversize
+program) — it participates in the same post → recv → ack exchange, with
 every worker-side event stamped with the batch seq.  The sanitizer checks
-additionally that every staged ``(rank, seq)`` is eventually covered by
-its ``batch`` post: rounds staged but never flushed are a barrier bug.
+additionally that every staged ``(rank, seq)`` is covered by its ``batch``
+post: items staged but never posted are a barrier bug.
 
 Matching rules (per doorbell exchange) are checked exclusively and each
 rank short-circuits after its first finding, so a single seeded bug yields
@@ -54,12 +54,6 @@ from .model import (
 
 if TYPE_CHECKING:
     from ...cluster.backends.base import ProtocolEvent
-
-#: Doorbell kinds that participate in the post → recv → ack exchange
-#: ("batch" is a staged program's single flag-word doorbell, "reduce" a
-#: pool-ref in-place reduction shipped by descriptor).  Rounds and tasks
-#: never post a doorbell of their own: they are staged into a batch.
-_DOORBELL_OPS = ("reduce", "pool", "close", "batch")
 
 VectorClock = dict[str, int]
 
@@ -100,7 +94,7 @@ class _Replay:
         self.spawned: set[int] = set()
         self.exits: dict[int, int] = {}  # rank -> event index of worker exit
         self.last_recv_seq: dict[str, int] = {}
-        #: rounds/tasks staged into a pending batch, awaiting a "batch" post.
+        #: program items staged for a rank, awaiting their "batch" post.
         self.staged: list[ProtocolEvent] = []
         self.events: list[ProtocolEvent] = []
 
@@ -177,7 +171,7 @@ class _Replay:
                     ).with_witness(_witness(ev))
                 )
         if (
-            ev.op in ("reduce", "batch")
+            ev.op == "batch"
             and self.capacity is not None
             and len(ev.detail) >= 2
             and int(ev.detail[1]) > self.capacity
@@ -185,9 +179,9 @@ class _Replay:
             self._report(
                 _finding(
                     RULE_BUDGET,
-                    f"round seq {ev.seq} placed {ev.detail[1]} ring bytes at rank "
+                    f"program seq {ev.seq} placed {ev.detail[1]} ring bytes at rank "
                     f"{ev.rank}, over the {self.capacity}-byte capacity "
-                    "(inline-overflow fallback not taken)",
+                    "(pipe fallback not taken)",
                     rank=ev.rank,
                     seq=ev.seq,
                 ).with_witness(_witness(ev))
@@ -295,7 +289,7 @@ class _Replay:
                     _finding(
                         RULE_BARRIER,
                         f"parent never consumed rank {rank}'s ack for {post.op} "
-                        f"seq {seq} (round barrier skipped)",
+                        f"seq {seq} (barrier skipped)",
                         rank=rank,
                         seq=seq,
                     ).with_witness(_witness(post, exchange["ack_send"]))

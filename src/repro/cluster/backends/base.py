@@ -3,22 +3,22 @@
 A :class:`~repro.cluster.transport.Transport` owns the *simulation
 semantics* — virtual clocks, the alpha-beta/NIC cost model, traffic
 statistics and trace instrumentation.  A :class:`TransportBackend` owns the
-*execution substrate*: how a round's payloads actually move between ranks,
-where each rank's flat bucket pool lives, and where per-rank compute runs.
+*execution substrate*: where each rank's flat bucket pool lives and where
+per-rank compute runs.  Round delivery is the same on every backend: the
+base class hands the sender's payload objects to the receiver in-process
+(:meth:`TransportBackend.route_round`).
 
 Three backends ship (see :mod:`repro.cluster.backends`):
 
-* ``local`` — the in-process loop reference.  Payloads are handed from
-  sender to receiver as Python objects; per-rank tasks run serially.  This
-  is the oracle every other backend must match bit-for-bit.
-* ``batched`` — identical delivery substrate, but collectives prefer the
+* ``local`` — the in-process loop reference: per-rank tasks run serially.
+  This is the oracle every other backend must match bit-for-bit.
+* ``batched`` — the same substrate, but collectives prefer the
   world-batched ``(world, n)`` kernels of :mod:`repro.comm.batched` (the
   PR 5 fast path).  The default.
-* ``shm`` — one OS worker process per rank.  Payload rounds travel through
-  ``multiprocessing.shared_memory`` ring buffers (each record stamped with
-  the round's sequence number and barriered on per-worker acks), bucket
-  pools are shared-memory segments mapped into both address spaces, and
-  per-rank tasks execute concurrently on real cores.
+* ``shm`` — one OS worker process per rank.  Bucket pools are
+  shared-memory segments mapped into every address space; per-rank tasks
+  and pool-ref reductions execute concurrently on real cores, shipped as
+  programs through ``multiprocessing.shared_memory`` rings.
 
 The backend contract is strict: delivered payloads, traffic statistics,
 virtual clocks and recorded traces must be **bit-identical** across
@@ -29,7 +29,7 @@ only differ in wall-clock time and in which address space does the work.
 from __future__ import annotations
 
 import os
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
@@ -62,11 +62,10 @@ class PoolRef:
     """Descriptor of a dense f64 view into one rank's flat bucket pool.
 
     ``offset``/``length`` are in float64 *elements* from the start of rank
-    ``rank``'s pool (:meth:`TransportBackend.allocate_pool`).  A PoolRef is
-    the wire form of a pool-resident payload: 24 bytes of descriptor
-    instead of ``length * 8`` bytes of data, resolvable by any process the
-    pool segment is mapped into.  Descriptors travel through the shm rings
-    under their own wire tag (``wire._T_POOLREF``) and drive the in-place
+    ``rank``'s pool (:meth:`TransportBackend.allocate_pool`).  A PoolRef
+    names a pool-resident region in three integers instead of its
+    ``length * 8`` bytes, resolvable by any process the pool segment is
+    mapped into.  Descriptors drive the in-place
     worker-parallel reduction of :meth:`TransportBackend.pool_ref_reduce`.
     """
 
@@ -92,12 +91,12 @@ class ProtocolEvent:
     the event concerns (``-1`` for backend-wide events).  ``kind`` is one of
     ``config, spawn, stage, post, recv, ring_read, ring_write, ack_send,
     ack_recv, pool_map, exit, unlink, closed``; ``op`` carries the doorbell
-    kind (``pool``/``reduce``/``close``, or ``batch`` for a staged
-    program's single flag-word doorbell) or, on a ``stage`` event, the
-    staged item (``round``/``task``); ``detail`` is per-kind metadata (e.g.
-    ``(records, ring_bytes, inline)`` for a batch post).  ``stage`` events
-    record rounds/tasks added to a not-yet-flushed batch; every staged
-    ``(rank, seq)`` must later be covered by a ``batch`` post.
+    kind (``pool``/``close``, or ``batch`` for a program's single
+    doorbell) or, on a ``stage`` event, the program item
+    (``task``/``reduce``); ``detail`` is per-kind metadata (e.g.
+    ``(items, ring_bytes, piped)`` for a batch post).  ``stage`` events
+    record the items of a program before it is posted; every staged
+    ``(rank, seq)`` must be covered by a ``batch`` post.
     """
 
     proc: str
@@ -123,10 +122,10 @@ class ProtocolEvent:
 class TransportBackend:
     """Pluggable execution substrate behind a :class:`Transport`.
 
-    Subclasses implement payload routing (:meth:`route_round`), flat-pool
-    allocation (:meth:`allocate_pool`) and per-rank task execution
-    (:meth:`run_rank_tasks`).  The base class provides attach/close
-    bookkeeping and context-manager lifetime.
+    Subclasses implement flat-pool allocation (:meth:`allocate_pool`) and
+    per-rank task execution (:meth:`run_rank_tasks`).  The base class
+    provides round delivery (:meth:`route_round`), attach/close bookkeeping
+    and context-manager lifetime.
     """
 
     #: registry name ("local", "batched", "shm")
@@ -141,6 +140,8 @@ class TransportBackend:
     #: where the descriptor path actually changes the execution substrate
     #: (the shm worker processes) turn the preference on.
     supports_pool_ref: bool = False
+    #: ranks this backend serves; set on attach (``None`` while unattached)
+    world_size: int | None = None
 
     def __init__(self) -> None:
         self._transport: Transport | None = None
@@ -159,21 +160,13 @@ class TransportBackend:
         """Bind this backend to ``transport`` (validates world size)."""
         self.validate_world(transport.spec.world_size)
         self._transport = transport
+        self.world_size = transport.spec.world_size
 
     def validate_world(self, world_size: int) -> None:  # noqa: B027 (hook)
         """Raise if this backend cannot serve ``world_size`` ranks."""
 
     def close(self) -> None:  # noqa: B027 (hook)
         """Release backend resources (processes, shared memory).  Idempotent."""
-
-    def flush(self) -> None:  # noqa: B027 (hook)
-        """Drain any deferred transport work (batched rounds).
-
-        The engine calls this at each iteration boundary; synchronous
-        backends keep the no-op default.  After ``flush`` returns, every
-        previously routed round has fully executed on its worker and its
-        cross-process echoes have been verified.
-        """
 
     def __enter__(self) -> TransportBackend:
         return self
@@ -230,12 +223,26 @@ class TransportBackend:
     def route_round(self, messages: Sequence[Message]) -> dict[int, list[Message]]:
         """Deliver one round of messages; return them grouped by receiver.
 
-        Per-destination message order must match the order of ``messages``,
-        and every delivered payload must be bit-identical to the payload
-        sent.  The transport has already charged clocks/stats/tracer for the
-        round — this method only moves the payloads.
+        Every backend delivers in-process: the receiver gets the sender's
+        :class:`Message` objects, in the order of ``messages``.  The
+        transport has already charged clocks/stats/tracer for the round.
         """
-        raise NotImplementedError
+        inbox: dict[int, list[Message]] = {}
+        for message in messages:
+            inbox.setdefault(message.dst, []).append(message)
+        return inbox
+
+    def _check_ranks(self, ranks: Iterable[int]) -> None:
+        """Raise ``ValueError`` for a rank outside the served world.
+
+        A no-op while the world is unknown (an unattached in-process
+        backend).
+        """
+        if self.world_size is None:
+            return
+        for rank in ranks:
+            if not 0 <= rank < self.world_size:
+                raise ValueError(f"rank {rank} outside world of {self.world_size}")
 
     def allocate_pool(self, rank: int, n_elements: int) -> np.ndarray:
         """Allocate rank ``rank``'s flat float64 bucket pool.
@@ -258,7 +265,8 @@ class TransportBackend:
         when none was allocated).  ``fn`` must be a module-level callable so
         multiprocess backends can pickle it by reference.  Returns results
         keyed by rank.  Backends with real per-rank executors run the tasks
-        concurrently; in-process backends run them serially.
+        concurrently; in-process backends run them serially.  A rank outside
+        the served world raises ``ValueError``.
         """
         raise NotImplementedError
 
@@ -280,7 +288,7 @@ class TransportBackend:
         Only dense views qualify: 1-D C-contiguous float64, lying entirely
         within one registered pool at an 8-byte-aligned offset.  Anything
         else — other dtypes, strided views, arrays owning their own storage
-        — returns None and keeps the codec path.
+        — returns None and keeps the batched-kernel path.
         """
         if (
             not isinstance(array, np.ndarray)
@@ -341,7 +349,7 @@ class TransportBackend:
 
         The caller (``repro.comm``) picks fold orders that reproduce the
         batched kernels' float operation order bit-for-bit, so in-place
-        results equal what the codec path would have returned.
+        results equal what the batched kernels would have returned.
 
         This base implementation runs the chunks serially in the calling
         process over the registered pool arrays; backends with real

@@ -1,33 +1,30 @@
 """In-process backends: the loop-reference oracle and the batched fast path.
 
-Both deliver payloads by handing the sender's objects straight to the
-receiver (the original single-process execution model); they differ only in
-which kernel flavor collectives pick by default.  ``LocalBackend`` is the
+Both run per-rank tasks serially in the parent (the original
+single-process execution model); they differ only in which kernel flavor
+collectives pick by default.  ``LocalBackend`` is the
 auditable oracle — per-rank Python loops, one payload per message — and
 ``BatchedBackend`` prefers the world-batched ``(world, n)`` kernels of
 :mod:`repro.comm.batched` (bit-identical by the PR 5 contract, so the two
 backends are interchangeable in every observable way except wall-clock).
 
-Delivery and per-rank compute happen in the parent's address space, so there
-is no cross-process protocol to observe: under the protocol sanitizer
+Per-rank compute happens in the parent's address space, so there is no
+cross-process protocol to observe: under the protocol sanitizer
 (``REPRO_PROTOCOL_SANITIZE=1``) the in-process backends record no events.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping, Sequence
-from typing import TYPE_CHECKING, Any
+from collections.abc import Callable, Mapping
+from typing import Any
 
 import numpy as np
 
 from .base import TransportBackend
 
-if TYPE_CHECKING:
-    from ..transport import Message
-
 
 class LocalBackend(TransportBackend):
-    """Single-process delivery, loop-reference kernels, serial rank tasks."""
+    """Loop-reference kernels, serial rank tasks."""
 
     name = "local"
     prefers_fast_path = False
@@ -35,15 +32,6 @@ class LocalBackend(TransportBackend):
     def __init__(self) -> None:
         super().__init__()
         self._pools: dict[int, np.ndarray] = {}
-
-    def route_round(self, messages: Sequence[Message]) -> dict[int, list[Message]]:
-        inbox: dict[int, list[Message]] = {}
-        for message in messages:
-            inbox.setdefault(message.dst, []).append(message)
-        return inbox
-
-    def flush(self) -> None:
-        """Delivery is synchronous in-process; there is nothing staged."""
 
     def allocate_pool(self, rank: int, n_elements: int) -> np.ndarray:
         pool = np.empty(n_elements, dtype=np.float64)
@@ -56,6 +44,7 @@ class LocalBackend(TransportBackend):
         fn: Callable[..., Any],
         args_by_rank: Mapping[int, tuple],
     ) -> dict[int, Any]:
+        self._check_ranks(args_by_rank)
         results = {}
         for rank in sorted(args_by_rank):
             results[rank] = fn(self._pools.get(rank), *args_by_rank[rank])
@@ -67,7 +56,7 @@ class LocalBackend(TransportBackend):
 
 
 class BatchedBackend(LocalBackend):
-    """Single-process delivery preferring the world-batched kernels."""
+    """Serial rank tasks, preferring the world-batched kernels."""
 
     name = "batched"
     prefers_fast_path = True

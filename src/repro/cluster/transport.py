@@ -13,10 +13,10 @@ Payloads are opaque to the transport; their wire size is taken from the
 message, so compressed payloads are charged their true compressed size and
 timing-mode stubs can declare full-scale sizes without materializing data.
 
-*Moving* the payloads — as opposed to pricing them — is delegated to a
-pluggable :class:`~repro.cluster.backends.TransportBackend` (in-process
-reference, world-batched, or shared-memory multiprocess); see
-``docs/backends.md``.
+Payloads are handed to their receivers in-process by the pluggable
+:class:`~repro.cluster.backends.TransportBackend`, which also owns the rank
+pools and where per-rank compute runs (in-process reference, world-batched,
+or shared-memory multiprocess); see ``docs/backends.md``.
 """
 
 from __future__ import annotations
@@ -197,15 +197,6 @@ class Transport:
             clock.reset()
         self.stats.reset()
 
-    def flush(self) -> None:
-        """Drain backend-deferred work at an iteration boundary.
-
-        Batched backends (the shm fast path) accumulate routed rounds into
-        per-worker programs; this forces them to execute and verifies their
-        cross-process echoes.  Synchronous backends no-op.
-        """
-        self.backend.flush()
-
     def close(self) -> None:
         """Release the backend's resources (idempotent)."""
         self.backend.close()
@@ -278,7 +269,7 @@ class Transport:
         for rank, arrival in arrivals.items():
             clocks[rank].advance_to(arrival)
         # Timing, stats and trace are settled; the backend now actually
-        # moves the payloads (in-process hand-off or cross-process rings).
+        # hands the payloads to their receivers.
         return self.backend.route_round(messages)
 
     def exchange_sized(

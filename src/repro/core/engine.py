@@ -207,10 +207,6 @@ class BaguaEngine:
             for k in range(self.num_buckets):
                 self.algorithm.comm_bucket(self, k, self._step_index)
             self.algorithm.on_step_end(self, self._step_index)
-        # Iteration boundary: batched backends (shm fast path) drain their
-        # staged per-worker programs here, so doorbell traffic is O(ranks)
-        # per step and any deferred transport fault surfaces this iteration.
-        self.group.transport.flush()
         self._step_index += 1
         return float(np.mean(losses))
 

@@ -2,8 +2,8 @@
 
 ``python -m repro perf`` times the hot collective and compression kernels
 with the loop reference vs the batched fast path, runs one functional-mode
-epoch per world size plus the shm round-latency and wire-codec
-microbenches, writes ``BENCH.json`` (``--out``; CI suffixes it per
+epoch per world size plus the shm epoch and pool-reduce microbenches,
+writes ``BENCH.json`` (``--out``; CI suffixes it per
 backend), and — with ``--check`` — gates against the committed baseline
 (``benchmarks/perf/baseline.json``): a kernel whose geometric-mean
 loop/fast speedup falls more than 20 % below the baseline's fails, as does

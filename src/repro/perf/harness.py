@@ -55,10 +55,6 @@ MIN_SPEEDUP_FLOORS: dict[tuple[str, int], float] = {
 #: acceptance criterion) is only meaningful with ≥4 real cores.
 CONDITIONAL_SPEEDUP_FLOORS: dict[tuple[str, int], tuple[float, int]] = {
     ("epoch_compute_bound", 4): (1.8, 4),
-    # One flag-word doorbell per 64 staged rounds vs one per round: only
-    # meaningful when the 4 workers and the parent are not fighting for 2
-    # cores.
-    ("shm_round_latency", 4): (3.0, 4),
     # Worker-parallel in-place pool reduction vs the parent executing the
     # same chunk schedule serially (PR 10 acceptance criterion): the four
     # workers fold concurrently, so the floor needs ≥4 real cores.
@@ -355,53 +351,8 @@ def _bench_backend_epoch(world: int, repeats: int) -> list[BenchRecord]:
 
 
 # ----------------------------------------------------------------------
-# Round-latency and wire-codec benchmarks (PR 9)
+# Pool-ref reduction benchmark
 # ----------------------------------------------------------------------
-def _bench_shm_round_latency(world: int, repeats: int) -> list[BenchRecord]:
-    """Per-round doorbell overhead: a flush per round vs one per 64 rounds.
-
-    Drives the same ring-neighbor rounds through one shm backend —
-    ``loop_s`` flushes after every round (one flag-word doorbell and ack
-    per round per rank, the cost a caller pays when it needs each round
-    delivered before the next), ``fast_s`` stages all rounds and flushes
-    once (one doorbell per rank for the whole program, as the engine does
-    per step).  Both legs run the same protocol with identical payloads,
-    ring traffic and echo verification, so the speedup column is pure
-    signalling overhead.
-    """
-    from ..cluster.backends.shm import SharedMemoryBackend
-    from ..cluster.transport import Message
-
-    rounds = 64
-    payload = np.arange(256, dtype=np.float64)  # 2 KiB per message
-    times: dict[bool, float] = {}
-    backend = SharedMemoryBackend(world_size=world, ring_bytes=1 << 20)
-    try:
-        for flush_each in (True, False):
-
-            def run() -> None:
-                for r in range(rounds):
-                    messages = [
-                        Message(
-                            src=src,
-                            dst=(src + 1) % world,
-                            payload=payload,
-                            nbytes=payload.nbytes,
-                            match_id=f"r{r}s{src}",
-                        )
-                        for src in range(world)
-                    ]
-                    backend.route_round(messages)
-                    if flush_each:
-                        backend.flush()
-                backend.flush()
-
-            times[flush_each] = _best_of(run, repeats)
-    finally:
-        backend.close()
-    return [BenchRecord("shm_round_latency", world, rounds, times[True], times[False])]
-
-
 def _bench_shm_pool_reduce(
     world: int, sizes: Iterable[int], repeats: int
 ) -> list[BenchRecord]:
@@ -411,7 +362,7 @@ def _bench_shm_pool_reduce(
     the same cross-process mapped pools — ``loop_s`` through the base
     class's generic executor (the parent folds every chunk serially on its
     own mappings), ``fast_s`` through the shm backend's override (each
-    chunk ships to its owner's worker as a 25-byte descriptor and all
+    chunk ships to its owner's worker as a ``reduce`` program item and all
     workers fold concurrently).  Results are asserted bitwise identical
     before timing counts, so the speedup column is pure multi-core scaling
     of the reduction itself.
@@ -463,43 +414,6 @@ def _bench_shm_pool_reduce(
     return records
 
 
-def _bench_wire_codec(repeats: int) -> list[BenchRecord]:
-    """Wire-codec round-trip vs pickle on compressed round payloads.
-
-    Asserts each compressed payload actually takes the pickle-free codec
-    path in the shm record encoder (the PR 9 acceptance criterion) before
-    timing ``loop_s`` (pickle round-trip) against ``fast_s`` (wire codec
-    round-trip).  No speed floor applies: the codec's value is a
-    self-describing, blittable wire format, not beating C pickle.
-    """
-    import pickle
-
-    from ..cluster.backends import shm, wire
-
-    rng = np.random.default_rng(5)
-    grad = rng.standard_normal(16384)
-    cases = [
-        ("wire_qsgd8", QSGDCompressor(bits=8, rng=np.random.default_rng(7)).compress(grad)),
-        ("wire_onebit", OneBitCompressor().compress(grad)),
-        ("wire_topk1pct", TopKCompressor(ratio=0.01).compress(grad)),
-    ]
-    records = []
-    for name, payload in cases:
-        kind, _data = shm._encode(payload)
-        if kind != shm._CODEC:
-            raise AssertionError(
-                f"{name}: compressed payload fell back to kind {kind} instead of "
-                "the pickle-free wire codec"
-            )
-        loop_s = _best_of(
-            lambda: pickle.loads(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)),
-            repeats,
-        )
-        fast_s = _best_of(lambda: wire.decode(wire.encode(payload)), repeats)
-        records.append(BenchRecord(name, 1, grad.size, loop_s, fast_s))
-    return records
-
-
 # ----------------------------------------------------------------------
 # Suite driver
 # ----------------------------------------------------------------------
@@ -518,9 +432,7 @@ def run_suite(quick: bool = False, repeats: int | None = None) -> dict:
     records += _bench_compressors(worlds, 1024, repeats)
     records += _bench_epoch(WORLDS_QUICK[:1] if quick else worlds)
     records += _bench_backend_epoch(4, repeats)
-    records += _bench_shm_round_latency(4, repeats)
     records += _bench_shm_pool_reduce(4, (1 << 19,) if quick else (1 << 19, 1 << 21), repeats)
-    records += _bench_wire_codec(repeats)
 
     from ..cluster.backends import BACKEND_ENV_VAR, DEFAULT_BACKEND
 

@@ -1,8 +1,12 @@
 """Checkpointing: save/load models and optimizers to a single ``.npz`` file.
 
-Distributed training jobs checkpoint the (identical) rank-0 replica; this
-module provides that, including optimizer state, so a training run on the
-simulated cluster can resume bit-exactly.
+Distributed training jobs checkpoint the rank-0 replica; this module
+provides that, including optimizer state.  Only rank 0's model and
+optimizer are saved, so a resume is bit-exact only for algorithms whose
+replicas stay identical and keep no other per-rank state.  Algorithms
+with per-rank state (error-feedback residuals, decentralized replicas that
+diverge) do not resume bit-exactly; saving the whole engine state is
+ROADMAP item 4.
 """
 
 from __future__ import annotations

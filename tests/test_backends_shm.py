@@ -2,7 +2,7 @@
 
 Bit-identity against the in-process oracle lives in
 ``test_backend_identity.py``; this file covers the multiprocess machinery
-itself.  Per-rank task functions are module-level on purpose — the shm
+itself and the round delivery every backend shares.  Per-rank task functions are module-level on purpose — the shm
 backend pickles them by reference into the worker processes.
 """
 
@@ -28,10 +28,10 @@ def _spec(world: int) -> ClusterSpec:
     return ClusterSpec(num_nodes=1, workers_per_node=world)
 
 
-#: The two ways a staged program reaches its worker: the default ring
-#: carries it behind a flag-word doorbell; a 128-byte ring (64 usable
-#: bytes) fits no program, so every one travels as a ``batch`` pipe
-#: message — the oversize fallback.
+#: The two ways a program reaches its worker: the default ring carries it
+#: behind a flag-word doorbell; a 128-byte ring (56 bytes past the header
+#: and seq stamp) fits no program, so every one travels as a ``batch``
+#: pipe message — the oversize fallback.
 _PROGRAM_DELIVERY = pytest.mark.parametrize(
     "ring_bytes", [1 << 22, 128], ids=["batched", "pipe"]
 )
@@ -48,6 +48,12 @@ def echo_task(pool, value):
 
 def boom_task(pool):
     raise ValueError("boom from the worker")
+
+
+def boom_on_rank0_task(pool, rank, value):
+    if rank == 0:
+        raise ValueError("boom from rank 0")
+    return value
 
 
 class TestRegistry:
@@ -155,15 +161,15 @@ class TestShmLifecycle:
 
     def test_dead_worker_detected_and_cleaned_up(self):
         backend = SharedMemoryBackend(2, timeout_s=30.0)
-        transport = Transport(_spec(2), backend=backend)
-        transport.exchange([Message(0, 1, np.zeros(3))])
+        Transport(_spec(2), backend=backend)
+        assert backend.run_rank_tasks(echo_task, {1: (3,)}) == {1: 3}
         victim = backend._workers[1].process
         os.kill(victim.pid, signal.SIGKILL)
         victim.join(timeout=5.0)
-        # Detected either at doorbell send (broken pipe) or while awaiting
-        # the ack (liveness poll), depending on kernel buffering.
+        # Detected before the post (liveness check) or while awaiting the
+        # ack (liveness poll).
         with pytest.raises(BackendError, match="died|pipe is gone"):
-            transport.exchange([Message(0, 1, np.zeros(3))])
+            backend.run_rank_tasks(echo_task, {1: (4,)})
         assert backend._closed  # orphan cleanup ran
 
 
@@ -181,9 +187,7 @@ class TestShmPayloads:
         got = self._roundtrip(transport, sent)
         assert got.dtype == np.float64
         assert sent.tobytes() == got.tobytes()  # bit-for-bit, incl. -0.0/NaN
-        # Batched mode delivers the sender's object (the oracle's hand-off
-        # semantics) — the staged ring record alone feeds the echo check, so
-        # no decode-copy is made for the inbox.
+        # Every backend delivers the sender's object in-process.
         assert got is sent
 
     def test_non_contiguous_and_other_dtypes(self, transport):
@@ -200,18 +204,22 @@ class TestShmPayloads:
         assert np.array_equal(got["v"][1][1], np.arange(3.0))
         assert got["e"] == ()
 
-    def test_ring_wraparound_many_rounds(self, transport):
+    def test_ring_reused_across_many_programs(self, transport):
+        # Every program and reply reuses its ring's single record slot; the
+        # seq stamps keep each call's data apart.
         for i in range(300):
-            got = self._roundtrip(transport, np.full(1024, float(i)))
-            assert got[0] == float(i)
+            got = transport.backend.run_rank_tasks(echo_task, {1: (np.full(1024, float(i)),)})
+            assert got[1][0] == float(i) and got[1].shape == (1024,)
 
     def test_oversize_payload_falls_back_inline(self):
         with Transport(_spec(2), backend=SharedMemoryBackend(2, ring_bytes=1 << 14)) as tr:
-            before = tr.backend.shm_stats["inline_fallbacks"]
+            backend = tr.backend
             big = np.random.default_rng(0).standard_normal(1 << 12)  # 32 KiB > ring
-            got = tr.exchange([Message(0, 1, big)])[1][0].payload
-            assert np.array_equal(got, big)
-            assert tr.backend.shm_stats["inline_fallbacks"] == before + 1
+            got = backend.run_rank_tasks(echo_task, {1: (big,)})[1]
+            assert got.tobytes() == big.tobytes()
+            # The program travelled over the pipe; so did its reply.
+            assert backend.shm_stats["pipe_batch_fallbacks"] == 1
+            assert backend.shm_stats["flag_doorbells"] == 0
 
     def test_round_order_preserved_per_destination(self, transport):
         inbox = transport.exchange(
@@ -220,45 +228,38 @@ class TestShmPayloads:
         assert [m.payload[0] for m in inbox[1]] == ["first", "second"]
 
 
-class TestBatchedRounds:
-    def test_default_batches_rounds_behind_flag_doorbells(self):
+class TestPrograms:
+    def test_routed_rounds_start_no_worker(self):
+        # Rounds are delivered in-process on every backend: 64 of them
+        # through shm spawn no worker and ring no doorbell.
         with Transport(_spec(2), backend="shm") as transport:
-            backend = transport.backend
-            for i in range(3):
+            for i in range(64):
                 got = transport.exchange([Message(0, 1, np.full(16, float(i)))])
                 assert got[1][0].payload[0] == float(i)
-            backend.flush()
-            stats = backend.shm_stats
-            assert stats["batches"] >= 1
-            assert stats["flag_doorbells"] >= 1
-
-    def test_flush_without_staged_work_is_a_noop(self):
-        with Transport(_spec(2), backend="shm") as transport:
-            backend = transport.backend
-            transport.exchange([Message(0, 1, np.arange(4.0))])
-            backend.flush()
-            batches = backend.shm_stats["batches"]
-            backend.flush()
-            backend.flush()
-            assert backend.shm_stats["batches"] == batches
-
-    def test_tasks_flush_pending_rounds_first(self):
-        with Transport(_spec(2), backend="shm") as transport:
-            backend = transport.backend
-            pool = backend.allocate_pool(1, 4)
-            pool[:] = 1.0
-            transport.exchange([Message(0, 1, np.arange(4.0))])
-            # The staged round must drain before the task executes.
-            assert backend.run_rank_tasks(scale_task, {1: (3.0,)}) == {1: 12.0}
-            assert backend.shm_stats["batches"] >= 1
+            info = transport.backend.describe()
+            assert info["started"] is False
+            assert info["flag_doorbells"] == 0
+            assert info["batches"] == 0
 
     def test_describe_reports_batch_mode(self):
+        # One task call on two ranks: one program, one flag-word doorbell
+        # per worker.
         with Transport(_spec(2), backend="shm") as transport:
-            transport.exchange([Message(0, 1, np.arange(4.0))])
-            transport.backend.flush()
+            transport.backend.run_rank_tasks(echo_task, {0: (1,), 1: (2,)})
             info = transport.backend.describe()
-            assert info["batches"] == info["flag_doorbells"] == 1
+            assert info["batches"] == info["flag_doorbells"] == 2
+            assert info["tasks"] == 2
             assert info["pipe_batch_fallbacks"] == 0
+
+
+@pytest.mark.parametrize("backend", ["local", "batched", "shm"])
+@pytest.mark.parametrize("rank", [5, -1])
+def test_out_of_world_task_rank_raises(backend, rank):
+    with Transport(_spec(2), backend=backend) as transport:
+        with pytest.raises(ValueError, match=f"rank {rank} outside world of 2"):
+            transport.backend.run_rank_tasks(echo_task, {0: (1,), rank: (2,)})
+        if backend == "shm":
+            assert transport.backend.describe()["started"] is False
 
 
 class TestShmPoolsAndTasks:
@@ -291,6 +292,18 @@ class TestShmPoolsAndTasks:
                 transport.backend.run_rank_tasks(boom_task, {0: ()})
             # A failed task does not kill the worker; the backend stays usable.
             assert transport.backend.run_rank_tasks(echo_task, {0: (7,)}) == {0: 7}
+
+    def test_error_on_one_rank_still_drains_the_others(self):
+        # Rank 1's reply is too large for the ring and travels by pipe; it
+        # must be drained although rank 0 failed, or the next pipe ack read
+        # from rank 1 (the pool mapping below) would be that stale reply.
+        backend = SharedMemoryBackend(2, ring_bytes=1 << 14)
+        with Transport(_spec(2), backend=backend):
+            big = np.arange(4096.0)
+            with pytest.raises(BackendError, match="boom from rank 0"):
+                backend.run_rank_tasks(boom_on_rank0_task, {0: (0, big), 1: (1, big)})
+            backend.allocate_pool(1, 4)[:] = 2.0
+            assert backend.run_rank_tasks(scale_task, {1: (3.0,)}) == {1: 24.0}
 
     def test_describe_reports_shm_facts(self):
         with Transport(_spec(2), backend="shm") as transport:
@@ -359,6 +372,7 @@ class TestPoolRefReduce:
                     acc += 0.0
                 for pool in pools:  # broadcast: every member's slice updated
                     assert pool[lo:hi].tobytes() == acc.tobytes()
+            assert backend.shm_stats["reduces"] == world
             piped = backend.shm_stats["pipe_batch_fallbacks"] > 0
             assert piped == (ring_bytes == 128)
 
@@ -369,41 +383,3 @@ class TestPoolRefReduce:
             refs = backend.resolve_pool_refs(pools, [0, 1])
             with pytest.raises(ValueError, match="chunk"):
                 backend.pool_ref_reduce(refs, [(0, 8, (0, 1))], add_zero=False)
-
-    @_PROGRAM_DELIVERY
-    def test_round_stats_count_rounds_only(self, ring_bytes):
-        # payload_bytes / inline_fallbacks are *round* traffic counters:
-        # tasks and pool-ref reduces must not move them on either path.
-        backend = SharedMemoryBackend(2, ring_bytes=ring_bytes)
-        with Transport(_spec(2), backend=backend) as transport:
-            pools = [backend.allocate_pool(rank, 8) for rank in range(2)]
-            transport.exchange([Message(0, 1, np.arange(8.0))])
-            backend.flush()
-            payload_bytes = backend.shm_stats["payload_bytes"]
-            fallbacks = backend.shm_stats["inline_fallbacks"]
-            assert payload_bytes > 0
-            backend.run_rank_tasks(echo_task, {0: (1,), 1: (2,)})
-            refs = backend.resolve_pool_refs(pools, [0, 1])
-            backend.pool_ref_reduce(refs, [(0, 4, (0, 1)), (4, 8, (0, 1))], add_zero=True)
-            backend.flush()
-            assert backend.shm_stats["payload_bytes"] == payload_bytes
-            assert backend.shm_stats["inline_fallbacks"] == fallbacks
-            assert backend.shm_stats["reduces"] == 2
-
-    def test_descriptor_shrinks_round_payload_bytes(self):
-        # A pool-resident payload of half a megabyte crosses the ring as a
-        # ~25-byte descriptor; a same-sized non-pool payload ships in full.
-        with Transport(_spec(2), backend="shm") as transport:
-            backend = transport.backend
-            pool = backend.allocate_pool(0, 1 << 16)
-            pool[:] = 1.0
-            before = backend.shm_stats["payload_bytes"]
-            transport.exchange([Message(0, 1, pool)])
-            backend.flush()
-            descriptor_bytes = backend.shm_stats["payload_bytes"] - before
-            assert 0 < descriptor_bytes < 100
-            assert backend.shm_stats["pool_ref_payloads"] == 1
-            before = backend.shm_stats["payload_bytes"]
-            transport.exchange([Message(0, 1, pool.copy())])  # not pool storage
-            backend.flush()
-            assert backend.shm_stats["payload_bytes"] - before >= pool.nbytes

@@ -64,9 +64,8 @@ def test_world4_round_protocol_explores_under_30s():
 
 
 def test_oversize_record_falls_back_inline_cleanly():
-    # A record larger than the ring travels inline over the pipe — the
-    # protocol handles it; only *forgetting* the fallback (force_place)
-    # is a bug.
+    # A program larger than the ring travels over the pipe — the protocol
+    # handles it; only *forgetting* the fallback (force_place) is a bug.
     result = explore(Workload(oversize=True))
     assert result.ok, result.describe()
 
@@ -74,8 +73,9 @@ def test_oversize_record_falls_back_inline_cleanly():
 @pytest.mark.parametrize("world", [1, 2, 3])
 def test_clean_batched_model_explores_clean(world):
     # Several flag-word batches per run: one doorbell flag and one ack flag
-    # per round, so the ring and both flag words are reused across batches.
-    result = explore(Workload(world=world, rounds_per_batch=1))
+    # per task call, so the ring and both flag words are reused across
+    # batches.
+    result = explore(Workload(world=world, tasks=3))
     assert result.ok, result.describe()
     assert result.finding is None
 
@@ -136,11 +136,11 @@ _POR_SCENARIOS = [
     ("dropped-ack", Workload(), Faults(drop_ack=((0, 0),))),
     ("stale-seq", Workload(), Faults(stale_seq=((0, 1),))),
     ("leak", Workload(), Faults(skip_unlink=(0,))),
-    ("clean-batched", Workload(rounds_per_batch=1), Faults()),
+    ("clean-batched", Workload(tasks=3), Faults()),
     ("ack-early-batched", Workload(), Faults(ack_early=(0,))),
     (
         "stale-flag-batched",
-        Workload(rounds_per_batch=1, pool=False, task=False),
+        Workload(pool=False),
         Faults(stale_flag=((0, 1),)),
     ),
     ("clean-reduce-batched", Workload(world=2, reduce=True), Faults()),

@@ -62,7 +62,7 @@ def _loss_fn(model, batch):
 
 
 def _drive(backend) -> list[ProtocolEvent]:
-    """One of everything: pool, two rounds, tasks, graceful close."""
+    """One of everything: pool, two rounds (in-process), tasks, graceful close."""
     backend.allocate_pool(0, 8)
     for round_index in range(2):
         messages = [
@@ -83,8 +83,8 @@ def _drive(backend) -> list[ProtocolEvent]:
 
 @pytest.fixture(scope="module")
 def shm_stream() -> list[ProtocolEvent]:
-    # Pool mapping over the pipe, then both rounds and the tasks staged as
-    # one flag-word batch per rank, then the close doorbells.
+    # Pool mapping over the pipe, then the tasks as one flag-word program
+    # per rank, then the close doorbells; the rounds never reach a worker.
     return _drive(SharedMemoryBackend(world_size=2, ring_bytes=1 << 16, sanitize=True))
 
 
