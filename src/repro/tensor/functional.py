@@ -1,8 +1,10 @@
 """Differentiable operations on :class:`~repro.tensor.tensor.Tensor`.
 
 Everything here builds graph nodes by hand: forward with numpy, backward as a
-closure.  Convolutions use im2col so proxy CNNs (VGG/AlexNet families) train
-at reasonable speed in pure numpy.
+closure.  Convolutions run on BLAS: im2col unfolds the input through a strided
+window view, the forward pass and both gradients are ``np.matmul`` calls, and
+col2im folds gradients back with one strided-slice add per kernel offset.
+Pooling shares the same im2col/col2im pair.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import Tensor
 
@@ -214,38 +217,28 @@ def embedding_lookup(weight: Tensor, indices: np.ndarray) -> Tensor:
 # ----------------------------------------------------------------------
 # Convolution via im2col
 # ----------------------------------------------------------------------
-def _im2col_indices(
-    x_shape: tuple, kh: int, kw: int, stride: int, padding: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
-    _, channels, height, width = x_shape
-    out_h = (height + 2 * padding - kh) // stride + 1
-    out_w = (width + 2 * padding - kw) // stride + 1
-
-    i0 = np.repeat(np.arange(kh), kw)
-    i0 = np.tile(i0, channels)
-    i1 = stride * np.repeat(np.arange(out_h), out_w)
-    j0 = np.tile(np.arange(kw), kh * channels)
-    j1 = stride * np.tile(np.arange(out_w), out_h)
-    i = i0.reshape(-1, 1) + i1.reshape(1, -1)
-    j = j0.reshape(-1, 1) + j1.reshape(1, -1)
-    k = np.repeat(np.arange(channels), kh * kw).reshape(-1, 1)
-    return k, i, j, out_h, out_w
-
-
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> tuple[np.ndarray, tuple]:
-    k, i, j, out_h, out_w = _im2col_indices(x.shape, kh, kw, stride, padding)
+    """Unfold ``x`` [B, C, H, W] into ``cols`` [B, C*kh*kw, out_h*out_w], rows (c, ki, kj)."""
     padded = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)), mode="constant")
-    cols = padded[:, k, i, j]  # [batch, C*kh*kw, out_h*out_w]
+    windows = sliding_window_view(padded, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    batch, channels, out_h, out_w = windows.shape[:4]
+    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(batch, channels * kh * kw, out_h * out_w)
     return cols, (out_h, out_w)
 
 
 def _col2im(
     cols: np.ndarray, x_shape: tuple, kh: int, kw: int, stride: int, padding: int
 ) -> np.ndarray:
+    """Fold ``cols`` onto [B, C, H, W]; each pixel sums its window terms in (ki, kj) order."""
     batch, channels, height, width = x_shape
-    k, i, j, _, _ = _im2col_indices(x_shape, kh, kw, stride, padding)
     padded = np.zeros((batch, channels, height + 2 * padding, width + 2 * padding))
-    np.add.at(padded, (slice(None), k, i, j), cols)
+    out_h = (height + 2 * padding - kh) // stride + 1
+    out_w = (width + 2 * padding - kw) // stride + 1
+    h_span, w_span = stride * out_h, stride * out_w
+    cols = cols.reshape(batch, channels, kh, kw, out_h, out_w)
+    for ki in range(kh):
+        for kj in range(kw):
+            padded[:, :, ki:ki + h_span:stride, kj:kj + w_span:stride] += cols[:, :, ki, kj]
     if padding == 0:
         return padded
     return padded[:, :, padding:-padding, padding:-padding]
@@ -262,7 +255,7 @@ def conv2d(
     filters, _, kh, kw = weight.data.shape
     cols, (out_h, out_w) = _im2col(x.data, kh, kw, stride, padding)
     w_flat = weight.data.reshape(filters, -1)  # [F, C*kh*kw]
-    out = np.einsum("fc,bcl->bfl", w_flat, cols)
+    out = w_flat @ cols  # [B, F, L]
     if bias is not None:
         out = out + bias.data.reshape(1, -1, 1)
     out = out.reshape(x.data.shape[0], filters, out_h, out_w)
@@ -271,12 +264,12 @@ def conv2d(
     def backward(grad: np.ndarray) -> None:
         g = grad.reshape(grad.shape[0], filters, -1)  # [B, F, L]
         if weight.requires_grad:
-            dw = np.einsum("bfl,bcl->fc", g, cols).reshape(weight.data.shape)
+            dw = (g @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(weight.data.shape)
             weight._accumulate(dw)
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=(0, 2)))
         if x.requires_grad:
-            dcols = np.einsum("fc,bfl->bcl", w_flat, g)
+            dcols = w_flat.T @ g  # [B, C*kh*kw, L]
             x._accumulate(_col2im(dcols, x.data.shape, kh, kw, stride, padding))
 
     return Tensor._make(out, parents, backward)
@@ -285,12 +278,8 @@ def conv2d(
 def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
     stride = stride or kernel
     batch, channels, height, width = x.data.shape
-    out_h = (height - kernel) // stride + 1
-    out_w = (width - kernel) // stride + 1
-    cols, _ = _im2col(
-        x.data.reshape(batch * channels, 1, height, width), kernel, kernel, stride, 0
-    )
-    cols = cols.reshape(batch * channels, kernel * kernel, out_h * out_w)
+    flat_shape = (batch * channels, 1, height, width)
+    cols, (out_h, out_w) = _im2col(x.data.reshape(flat_shape), kernel, kernel, stride, 0)
     argmax = cols.argmax(axis=1)
     out = np.take_along_axis(cols, argmax[:, None, :], axis=1).reshape(
         batch, channels, out_h, out_w
@@ -300,9 +289,7 @@ def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
         g = grad.reshape(batch * channels, 1, -1)
         dcols = np.zeros_like(cols)
         np.put_along_axis(dcols, argmax[:, None, :], g, axis=1)
-        dx = _col2im(
-            dcols, (batch * channels, 1, height, width), kernel, kernel, stride, 0
-        )
+        dx = _col2im(dcols, flat_shape, kernel, kernel, stride, 0)
         x._accumulate(dx.reshape(x.data.shape))
 
     return Tensor._make(out, (x,), backward)
@@ -311,19 +298,14 @@ def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
 def avg_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
     stride = stride or kernel
     batch, channels, height, width = x.data.shape
-    out_h = (height - kernel) // stride + 1
-    out_w = (width - kernel) // stride + 1
-    cols, _ = _im2col(
-        x.data.reshape(batch * channels, 1, height, width), kernel, kernel, stride, 0
-    )
+    flat_shape = (batch * channels, 1, height, width)
+    cols, (out_h, out_w) = _im2col(x.data.reshape(flat_shape), kernel, kernel, stride, 0)
     out = cols.mean(axis=1).reshape(batch, channels, out_h, out_w)
 
     def backward(grad: np.ndarray) -> None:
         g = grad.reshape(batch * channels, 1, -1)
         dcols = np.broadcast_to(g / (kernel * kernel), (batch * channels, kernel * kernel, out_h * out_w))
-        dx = _col2im(
-            np.ascontiguousarray(dcols), (batch * channels, 1, height, width), kernel, kernel, stride, 0
-        )
+        dx = _col2im(dcols, flat_shape, kernel, kernel, stride, 0)
         x._accumulate(dx.reshape(x.data.shape))
 
     return Tensor._make(out, (x,), backward)
