@@ -1,5 +1,7 @@
 """numpy autograd + neural-network substrate (PyTorch stand-in)."""
 
+import ctypes
+
 from . import functional
 from .attention import MultiHeadAttention, TransformerEncoderLayer
 from .clip import clip_grad_norm, global_grad_norm
@@ -23,6 +25,22 @@ from .recurrent import LSTM, LSTMCell
 from .schedulers import CosineAnnealingLR, LRScheduler, StepLR, WarmupLR
 from .serde import load_checkpoint, save_checkpoint
 from .tensor import Tensor, ones, randn, tensor, zeros
+
+
+def keep_freed_memory() -> bool:
+    """Keep freed arrays in the heap so that each step does not fault them back in.
+
+    Pins glibc's mmap threshold (``M_MMAP_THRESHOLD``, -3) at its adaptive ceiling,
+    32 MiB, and its trim threshold (-1) at twice that; see docs/performance.md.
+    """
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return False
+    return bool(mallopt(-3, 32 << 20) and mallopt(-1, 64 << 20))
+
+
+keep_freed_memory()
 
 __all__ = [
     "Tensor",
